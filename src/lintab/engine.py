@@ -39,6 +39,7 @@ from .tablespace import (
     TableSpace,
     TablingInvariantError,
     TrieNode,
+    drs_selection,
     solution_term,
 )
 from .terms import Functor, Struct, Var, deref, fresh_copy, functor, unify, Trail
@@ -168,8 +169,8 @@ PH_DELIVER = 2  # completed-table streaming to the caller
 
 # delivery plans
 PLAN_GENERAL = 0
-PLAN_TABLE = 1  # fused: insert last-arg token into the parent's table
-PLAN_COLLECT = 2  # fused: append terminals to the raw answer list
+PLAN_TABLE = 1  # batch: insert last-arg token into the parent's table
+PLAN_COLLECT = 2  # batch: append terminals to the raw answer list
 
 
 class _CP:
@@ -192,8 +193,9 @@ class _CP:
         "c0",
         "c1",
         "via",
-        "restricted",
         "count_sols",
+        "sols",
+        "table_len",
     )
 
     def __init__(self, kind, mark, cont):
@@ -215,8 +217,9 @@ class _CP:
         self.c0 = None
         self.c1 = None
         self.via = ""
-        self.restricted = False
         self.count_sols = False
+        self.sols = None  # the answers this choice point delivers, by index
+        self.table_len = None  # table size at consume entry, under validate
 
 
 class Engine:
@@ -235,9 +238,6 @@ class Engine:
         self.step_budget = step_budget
         self.events: list[str] | None = [] if trace else None
         self.validate = validate
-        # tracing and validation observe per-delivery state, so the fused
-        # bulk paths must stay off for them
-        self.fuse_ok = not (trace or validate)
         self.preds: dict[Functor, _Pred] = {}
         for f, clauses in program.predicates.items():
             self.preds[f] = _Pred(f, clauses, f in program.tabled)
@@ -280,20 +280,11 @@ class Engine:
             return None
         return self.ev_depths[i]
 
-    def _frame_is_leader(self, frame) -> bool:
-        d = self._min_event_depth_since(frame.push_stamp)
-        return d is None or d >= frame.stack_depth
-
-    def materialize_leader_flags(self) -> None:
-        """Refresh is_leader on every live generator from the event log."""
-        for f in self.gen_stack:
-            f.is_leader = self._frame_is_leader(f)
-
     # -- public API -------------------------------------------------------
 
     def run_query(self, goals: list) -> tuple[list, EvalStats]:
         """Evaluate a goal conjunction.  Returns raw answers (terms, or
-        solution-trie terminals when the bulk path ran) and the stats."""
+        solution-trie terminals when a batch delivery ran) and the stats."""
         self.ts = TableSpace()
         self.stats = EvalStats()
         self.trail = Trail()
@@ -343,8 +334,6 @@ class Engine:
         cps = self.cps
         preds = self.preds
         stats = self.stats
-        trace = self.events is not None
-        dre = self.config.dre
         budget = self.step_budget
 
         while True:
@@ -516,8 +505,7 @@ class Engine:
             cp = _CP(K_CONSUMER, len(self.trail), rest)
             cp.frame = frame
             cp.call = goal
-            cp.via = "completed"
-            cp.plan = self._make_plan(frame, goal, rest)
+            self._start_delivery(cp, "completed", frame.solution_order)
             self.cps.append(cp)
             if trace:
                 self._ev(f"call g{frame.fid} completed")
@@ -550,30 +538,19 @@ class Engine:
         cp = _CP(K_CONSUMER, len(self.trail), rest)
         cp.frame = frame
         cp.call = goal
-        cp.via = "consumer"
-        cp.plan = self._make_plan(frame, goal, rest)
+        self._start_delivery(cp, "consumer", frame.solution_order)
         self.cps.append(cp)
         if trace:
             self._ev(f"call g{frame.fid} consumer")
         return None
 
     def _install_generator(self, frame, goal, rest, first_round: bool):
-        pred = self.preds[frame.functor]
         gs = self.gen_stack
         frame.stack_depth = len(gs)
         gs.append(frame)
         frame.push_stamp = self.clock
         frame.pioneer_active = True
-        if first_round:
-            frame.alt_seq = pred.all_alts
-        else:
-            self.ts.begin_round(frame)
-            frame.alt_seq = (
-                tuple(frame.looping_alternatives) if self.config.dra else pred.all_alts
-            )
-        frame.next_alternative = 0
-        if self.validate:
-            self._roles[frame.fid] = {}
+        self._begin_round(frame, first_round)
         cp = _CP(K_GENERATOR, len(self.trail), rest)
         cp.frame = frame
         cp.call = goal
@@ -605,49 +582,53 @@ class Engine:
                     TableSpace.mark_looping_alternative(frame, cp.cur_clause)
             cp.alt_open = None
 
-    def _retry_generator(self, cp):
+    def _try_alternatives(self, cp, role: str):
+        """Enter the frame's next untried clause that unifies with the call
+        and return its body continuation; None once the shared cursor is
+        spent or, for a follower, the pioneer has finished."""
         frame = cp.frame
         trail = self.trail
-        stats = self.stats
-        trace = self.events is not None
-
-        if cp.phase != PH_CLAUSES:
-            return self._deliver(cp)
-
+        dra = self.config.dra
+        # the alternative that just finished is loop-marked like any other,
+        # whether the pioneer or a follower ran it
         self._close_alt_window(cp, frame)
         pred = self.preds[frame.functor]
-        while True:
-            seq = frame.alt_seq
-            i = frame.next_alternative
-            if i < len(seq):
-                frame.next_alternative = i + 1
-                ci = seq[i]
-                trail.undo_to(cp.mark)
-                head, body = pred.clauses[ci]
-                mapping = {}
-                if not unify(cp.call, fresh_copy(head, mapping), trail):
-                    continue
-                stats.alts_explored += 1
-                self.steps += 1
-                if self.validate:
-                    self._note_role(frame, ci, "pioneer")
-                    if self.config.dra and frame.state == LOOP_EVALUATING:
-                        if ci not in frame.looping_alternatives:
-                            raise TablingInvariantError(
-                                f"loop round ran non-looping clause {ci}"
-                            )
-                if trace:
-                    self._ev(f"alt g{frame.fid} {ci}")
-                cp.cur_clause = ci
-                if self.config.dra:
-                    cp.alt_open = self.clock
-                cont = cp.ns_cell
-                for g in reversed(body):
-                    cont = (fresh_copy(g, mapping), cont)
-                return cont
-
-            # cursor exhausted: fix-point check
+        seq = frame.alt_seq
+        while frame.pioneer_active and frame.next_alternative < len(seq):
+            ci = seq[frame.next_alternative]
+            frame.next_alternative += 1
             trail.undo_to(cp.mark)
+            head, body = pred.clauses[ci]
+            mapping = {}
+            if not unify(cp.call, fresh_copy(head, mapping), trail):
+                continue
+            self.stats.alts_explored += 1
+            self.steps += 1
+            if self.validate:
+                self._note_role(frame, ci, role)
+                if dra and frame.state == LOOP_EVALUATING and ci not in frame.looping_alternatives:
+                    raise TablingInvariantError(f"loop round ran non-looping clause {ci}")
+            if self.events is not None:
+                self._ev(f"alt g{frame.fid} {ci}")
+            cp.cur_clause = ci
+            if dra:
+                cp.alt_open = self.clock
+            cont = cp.ns_cell
+            for g in reversed(body):
+                cont = (fresh_copy(g, mapping), cont)
+            return cont
+        trail.undo_to(cp.mark)
+        return None
+
+    def _retry_generator(self, cp):
+        if cp.phase != PH_CLAUSES:
+            return self._deliver(cp)
+        frame = cp.frame
+        while True:
+            cont = self._try_alternatives(cp, "pioneer")
+            if cont is not None:
+                return cont
+            # cursor exhausted: fix-point check
             md = self._min_event_depth_since(frame.push_stamp)
             if md is None or md >= frame.stack_depth:
                 frame.is_leader = True
@@ -667,14 +648,15 @@ class Engine:
                 self._complete_scc(cp, frame)
                 return self._deliver(cp)
             frame.is_leader = False
-            if trace:
+            if self.events is not None:
                 self._ev(f"fixpoint g{frame.fid} propagate")
+            # nothing inserts into this table while its generator consumes
+            # (see _deliver), so the DRS selection is made once, here
             cp.phase = PH_CONSUME
-            cp.idx = 0
-            cp.via = "generator"
-            cp.count_sols = True
-            cp.restricted = self.config.drs
-            cp.plan = self._make_plan(frame, cp.call, cp.cont)
+            if self.validate:
+                cp.table_len = len(frame.solution_order)
+            sols = drs_selection(frame) if self.config.drs else frame.solution_order
+            self._start_delivery(cp, "generator", sols, count_sols=True)
             return self._deliver(cp)
 
     def _restart_round(self, cp, frame) -> None:
@@ -695,12 +677,16 @@ class Engine:
         frame.set_state(LOOP_READY)
         frame.set_state(LOOP_EVALUATING)
         frame.push_stamp = self.clock
+        self._begin_round(frame, first_round=False)
+
+    def _begin_round(self, frame, first_round: bool) -> None:
+        """Reset the frame's shared clause cursor for a pass over its
+        clauses; a DRA re-evaluation round runs only looping ones."""
         self.ts.begin_round(frame)
-        frame.alt_seq = (
-            tuple(frame.looping_alternatives)
-            if self.config.dra
-            else self.preds[frame.functor].all_alts
-        )
+        if self.config.dra and not first_round:
+            frame.alt_seq = tuple(frame.looping_alternatives)
+        else:
+            frame.alt_seq = self.preds[frame.functor].all_alts
         frame.next_alternative = 0
         if self.validate:
             self._roles[frame.fid] = {}
@@ -725,11 +711,7 @@ class Engine:
             self._ev(f"fixpoint g{frame.fid} complete")
             self._ev(f"complete g{frame.fid}")
         cp.phase = PH_DELIVER
-        cp.idx = 0
-        cp.via = "completed"
-        cp.count_sols = False
-        cp.restricted = False
-        cp.plan = self._make_plan(frame, cp.call, cp.cont)
+        self._start_delivery(cp, "completed", frame.solution_order)
 
     def _note_role(self, frame, clause, role) -> None:
         m = self._roles.setdefault(frame.fid, {})
@@ -743,55 +725,27 @@ class Engine:
     # -- followers -----------------------------------------------------------
 
     def _retry_follower(self, cp):
-        frame = cp.frame
-        trail = self.trail
         if cp.phase == PH_CLAUSES:
-            # the stolen clause participates in the loop like any other
-            # evaluated alternative: mark it if a repeated call targeted
-            # at-or-below the owner while it ran
-            self._close_alt_window(cp, frame)
-            pred = self.preds[frame.functor]
-            while True:
-                seq = frame.alt_seq
-                i = frame.next_alternative
-                if i >= len(seq) or not frame.pioneer_active:
-                    break
-                frame.next_alternative = i + 1
-                ci = seq[i]
-                trail.undo_to(cp.mark)
-                head, body = pred.clauses[ci]
-                mapping = {}
-                if not unify(cp.call, fresh_copy(head, mapping), trail):
-                    continue
-                self.stats.alts_explored += 1
-                self.steps += 1
-                if self.validate:
-                    self._note_role(frame, ci, "follower")
-                if self.events is not None:
-                    self._ev(f"alt g{frame.fid} {ci}")
-                cp.cur_clause = ci
-                if self.config.dra:
-                    cp.alt_open = self.clock
-                cont = cp.ns_cell
-                for g in reversed(body):
-                    cont = (fresh_copy(g, mapping), cont)
+            cont = self._try_alternatives(cp, "follower")
+            if cont is not None:
                 return cont
-            trail.undo_to(cp.mark)
+            # followers always consume everything
             cp.phase = PH_CONSUME
-            cp.idx = 0
-            cp.via = "follower"
-            cp.count_sols = False
-            cp.restricted = False  # followers always consume everything
-            cp.plan = self._make_plan(frame, cp.call, cp.cont)
+            self._start_delivery(cp, "follower", cp.frame.solution_order)
         return self._deliver(cp)
 
     # -- deliveries ------------------------------------------------------------
 
-    def _make_plan(self, src_frame, call, cont):
-        """Classify the delivery continuation; fused plans run without
+    def _start_delivery(self, cp, via: str, sols: list, count_sols: bool = False) -> None:
+        cp.via = via
+        cp.sols = sols
+        cp.idx = 0
+        cp.count_sols = count_sols
+        cp.plan = self._make_plan(cp.call, cp.cont)
+
+    def _make_plan(self, call, cont):
+        """Classify the delivery continuation; batch plans run without
         per-solution trail traffic."""
-        if not self.fuse_ok:
-            return (PLAN_GENERAL,)
         if cont is self._collect_cell and self._single_goal is not None:
             # the query-level choice point streaming into the answer list
             return (PLAN_COLLECT,)
@@ -826,130 +780,95 @@ class Engine:
                 parent = entry.frame
                 xnode = parent.sol_func_node.child(a0)
                 return (PLAN_TABLE, parent, xnode, tuple(bumps))
-            if te is _Collect:
-                if self._single_goal is not None and not bumps:
-                    return (PLAN_COLLECT,)
-                return (PLAN_GENERAL,)
             return (PLAN_GENERAL,)
         return (PLAN_GENERAL,)
 
     def _deliver(self, cp):
+        """Hand the choice point's next answers to its continuation: the
+        rest of the list on a batch plan, one answer on the general plan.
+        Steps and consumed solutions are counted here, one per answer."""
+        start = cp.idx
         tag = cp.plan[0]
-        run_general = tag == PLAN_GENERAL
         if tag == PLAN_TABLE:
-            # False means the burst hit a non-atomic answer and switched
-            # the plan; the rest of the list goes through the general path
-            run_general = not self._burst_table(cp, cp.plan)
+            self._burst_table(cp)
         elif tag == PLAN_COLLECT:
             self._burst_collect(cp)
-        if run_general:
-            cont = self._deliver_general(cp)
-            if cont is not None:
-                return cont
+        # a table burst that meets a non-atomic answer switches to general
+        cont = self._deliver_general(cp) if cp.plan[0] == PLAN_GENERAL else None
+        n = cp.idx - start
+        if n:
+            self.steps += n
+            if cp.count_sols:
+                self.stats.nonleader_sols_consumed += n
+        if cont is not None:
+            return cont
+        if (
+            self.validate
+            and cp.count_sols
+            and len(cp.frame.solution_order) != cp.table_len
+        ):
+            raise TablingInvariantError(
+                f"table of g{cp.frame.fid} grew while its generator consumed it"
+            )
         # exhausted: a non-leader generator popping here leaves its frame
         # on the generator stack until the leader restarts or completes
         self.trail.undo_to(cp.mark)
         self.cps.pop()
         return None
 
-    def _burst_table(self, cp, plan) -> bool:
-        _, parent, xnode, bumps = plan
+    def _burst_table(self, cp) -> None:
+        _, parent, xnode, bumps = cp.plan
         src = cp.frame
-        sols = src.solution_order
+        sols = cp.sols
         sfn = src.sol_func_node
         porder = parent.solution_order
+        p0 = len(porder)
         pch = xnode.children
         if pch is None:
             pch = xnode.children = {}
-        drs = self.config.drs
-        restricted = cp.restricted
-        i = cp.idx
-        start = i
-        new_cnt = 0
-        filtered_skips = 0
-        bail = False
         pget = pch.get
-        if src.flat_pairs and not restricted:
-            # hot path: every solution is f(atomic, atomic), nothing filtered
-            while i < len(sols):
-                z = sols[i].token
-                i += 1
-                if pget(z) is None:
-                    nn = TrieNode(z, xnode)
-                    nn.ordinal = len(porder)
-                    porder.append(nn)
-                    pch[z] = nn
-                    new_cnt += 1
-                    if drs and parent.first_solution_in_current_round is None:
-                        parent.first_solution_in_current_round = nn.ordinal
-        else:
-            # live length: when parent is src, inserts extend the list we read
-            while i < len(sols):
-                node = sols[i]
-                i += 1
-                if restricted:
-                    fir = src.first_solution_in_current_round
-                    if not (
-                        node.looping or (fir is not None and node.ordinal >= fir)
-                    ):
-                        filtered_skips += 1
-                        continue
-                z = node.token
-                if type(z) is tuple or node.parent.parent is not sfn:
-                    # var or compound argument: finish on the general path
-                    i -= 1
-                    bail = True
-                    break
-                ex = pget(z)
-                if ex is None:
-                    nn = TrieNode(z, xnode)
-                    nn.ordinal = len(porder)
-                    porder.append(nn)
-                    pch[z] = nn
-                    new_cnt += 1
-                    if drs and parent.first_solution_in_current_round is None:
-                        parent.first_solution_in_current_round = nn.ordinal
-        delivered = (i - start) - filtered_skips
+        # a table of f(atomic, atomic) answers needs no per-answer shape check
+        check = not src.flat_pairs
+        start = i = cp.idx
+        while i < len(sols):
+            node = sols[i]
+            z = node.token
+            if check and (type(z) is tuple or node.parent.parent is not sfn):
+                # var or compound argument: finish on the general path
+                cp.plan = (PLAN_GENERAL,)
+                break
+            i += 1
+            if pget(z) is None:
+                nn = TrieNode(z, xnode)
+                nn.ordinal = len(porder)
+                porder.append(nn)
+                pch[z] = nn
         cp.idx = i
-        if new_cnt:
+        if len(porder) > p0:
             parent.new_solutions = True
-            self.stats.answers_emitted += new_cnt
-        if delivered:
-            self.steps += delivered
-            if cp.count_sols:
-                self.stats.nonleader_sols_consumed += delivered
-            if bumps:
-                sc = self.stats.sld_calls
-                for key in bumps:
-                    sc[key] = sc.get(key, 0) + delivered
-        if bail:
-            cp.plan = (PLAN_GENERAL,)
-        return not bail
+            self.stats.answers_emitted += len(porder) - p0
+            if self.config.drs and parent.first_solution_in_current_round is None:
+                parent.first_solution_in_current_round = p0
+        if bumps and i > start:
+            sc = self.stats.sld_calls
+            for key in bumps:
+                sc[key] = sc.get(key, 0) + (i - start)
+        if self.events is not None:
+            for node in sols[start:i]:
+                o = pch[node.token].ordinal
+                self._ev(f"consume g{src.fid} {node.ordinal} via={cp.via}")
+                self._ev(f"new_solution g{parent.fid} {o if o >= p0 else 'dup'}")
 
-    def _burst_collect(self, cp) -> bool:
-        src = cp.frame
-        sols = src.solution_order
-        i = cp.idx
-        if cp.restricted:
-            fir = src.first_solution_in_current_round
-            take = [
-                n
-                for n in sols[i:]
-                if n.looping or (fir is not None and n.ordinal >= fir)
-            ]
-        else:
-            take = sols[i:]
+    def _burst_collect(self, cp) -> None:
+        take = cp.sols[cp.idx :]
+        cp.idx += len(take)
         self.raw_answers.extend(take)
-        cp.idx = len(sols)
-        self.steps += len(take)
-        if cp.count_sols:
-            self.stats.nonleader_sols_consumed += len(take)
-        return True
+        if self.events is not None:
+            for node in take:
+                self._ev(f"consume g{cp.frame.fid} {node.ordinal} via={cp.via}")
 
     def _deliver_general(self, cp):
-        trail = self.trail
         frame = cp.frame
-        sols = frame.solution_order
         drs_marks = (
             self.config.drs
             and cp.kind in (K_GENERATOR, K_FOLLOWER)
@@ -960,29 +879,22 @@ class Engine:
             if d is not None and d <= frame.stack_depth:
                 TableSpace.mark_looping_solution(frame, cp.cur_sol)
             cp.sol_open = None
-        restricted = cp.restricted
-        fir = frame.first_solution_in_current_round
-        trace = self.events is not None
-        while cp.idx < len(sols):
-            node = sols[cp.idx]
-            cp.idx += 1
-            if restricted and not (
-                node.looping or (fir is not None and node.ordinal >= fir)
-            ):
-                continue
-            trail.undo_to(cp.mark)
-            self.steps += 1
-            if not unify(cp.call, solution_term(node), trail):
-                continue
-            if cp.count_sols:
-                self.stats.nonleader_sols_consumed += 1
-            if trace:
-                self._ev(f"consume g{frame.fid} {node.ordinal} via={cp.via}")
-            if drs_marks:
-                cp.sol_open = self.clock
-                cp.cur_sol = node
-            return cp.cont
-        return None
+        if cp.idx == len(cp.sols):
+            return None
+        node = cp.sols[cp.idx]
+        cp.idx += 1
+        trail = self.trail
+        trail.undo_to(cp.mark)
+        if not unify(cp.call, solution_term(node), trail):
+            raise TablingInvariantError(
+                f"answer {node.ordinal} of g{frame.fid} does not unify with its call"
+            )
+        if self.events is not None:
+            self._ev(f"consume g{frame.fid} {node.ordinal} via={cp.via}")
+        if drs_marks:
+            cp.sol_open = self.clock
+            cp.cur_sol = node
+        return cp.cont
 
 
 def solve(

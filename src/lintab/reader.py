@@ -151,8 +151,21 @@ def _goal_functor(t) -> Functor:
     return t if type(t) is Functor else t.functor
 
 
+def _too_deep(p: _Parser) -> ParseError:
+    # the term parser recurses once per nesting level
+    t = p.peek()
+    return ParseError("term nested too deeply", t[2], t[3])
+
+
 def parse_program(text: str) -> Program:
     p = _Parser(text)
+    try:
+        return _program(p)
+    except RecursionError:
+        raise _too_deep(p) from None
+
+
+def _program(p: _Parser) -> Program:
     prog = Program()
     body_preds: list[Functor] = []
     while p.peek()[0] != "eof":
@@ -199,7 +212,10 @@ def parse_query(text: str, varmap: dict | None = None) -> list:
     if p.peek()[0] == "eof":
         t = p.peek()
         raise ParseError("empty query", t[2], t[3])
-    goals = list(p.body(varmap if varmap is not None else {}))
+    try:
+        goals = list(p.body(varmap if varmap is not None else {}))
+    except RecursionError:
+        raise _too_deep(p) from None
     p.expect(".", "'.'")
     if p.peek()[0] != "eof":
         p.fail("trailing text after query")

@@ -12,7 +12,7 @@ rebuilt on demand by walking terminal-to-root.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .terms import Functor, term_to_str, term_tokens, tokens_to_term
 
@@ -73,6 +73,17 @@ def terminal_tokens(node: TrieNode) -> tuple:
 
 def solution_term(node: TrieNode):
     return tokens_to_term(terminal_tokens(node))
+
+
+def drs_selection(frame: SubgoalFrame) -> list[TrieNode]:
+    """The answers a non-leader generator hands its caller under DRS:
+    loop-marked ones plus those new in the current round, in table order."""
+    fir = frame.first_solution_in_current_round
+    return [
+        n
+        for n in frame.solution_order
+        if n.looping or (fir is not None and n.ordinal >= fir)
+    ]
 
 
 class SubgoalFrame:
@@ -170,20 +181,6 @@ class TableSpace:
         frame.solution_order.append(node)
         return True
 
-    def load_solutions(self, frame: SubgoalFrame, mode: str) -> Iterator[TrieNode]:
-        if mode == "all":
-            return iter(frame.solution_order)
-        if mode != "looping_plus_current_round":
-            raise ValueError(f"unknown load mode {mode!r}")
-        return self._looping_plus_round(frame)
-
-    @staticmethod
-    def _looping_plus_round(frame: SubgoalFrame) -> Iterator[TrieNode]:
-        fir = frame.first_solution_in_current_round
-        for i, node in enumerate(frame.solution_order):
-            if node.looping or (fir is not None and i >= fir):
-                yield node
-
     @staticmethod
     def mark_looping_alternative(frame: SubgoalFrame, clause_index: int) -> None:
         frame.looping_alternatives.setdefault(clause_index)
@@ -197,11 +194,6 @@ class TableSpace:
     @staticmethod
     def begin_round(frame: SubgoalFrame) -> None:
         frame.first_solution_in_current_round = None
-
-    def completed_iterator(self, frame: SubgoalFrame) -> Iterator[TrieNode]:
-        if frame.state != COMPLETE:
-            raise TablingInvariantError("completed_iterator on incomplete frame")
-        return iter(frame.solution_order)
 
     def dump(self) -> str:
         """Deterministic text rendering, one frame per block."""

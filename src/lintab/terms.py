@@ -75,9 +75,6 @@ Term = object  # int | Functor | Var | Struct; kept loose for speed
 class Trail(list):
     """Bindings made since a mark, undone in LIFO order."""
 
-    def mark(self) -> int:
-        return len(self)
-
     def undo_to(self, mark: int) -> None:
         while len(self) > mark:
             self.pop().ref = None
@@ -90,11 +87,6 @@ def deref(t):
             return t
         t = r
     return t
-
-
-def bind(v: Var, t, trail: Trail) -> None:
-    v.ref = t
-    trail.append(v)
 
 
 def unify(a, b, trail: Trail) -> bool:
@@ -197,31 +189,38 @@ def tokens_to_term(tokens: Iterable):
     return result
 
 
-def canonicalize(t) -> tuple:
-    return term_tokens(t)
-
-
-def variant(a, b) -> bool:
-    return term_tokens(a) == term_tokens(b)
-
-
 def fresh_copy(t, mapping: Optional[dict] = None):
     """Copy a term replacing each unbound variable consistently with a
     fresh one.  Bound structure is followed, so the copy is independent
     of later bindings to the original."""
     if mapping is None:
         mapping = {}
-    t = deref(t)
-    tx = type(t)
-    if tx is Var:
-        v = mapping.get(t)
-        if v is None:
-            v = Var(t.name)
-            mapping[t] = v
-        return v
-    if tx is Struct:
-        return Struct(t.functor, tuple(fresh_copy(a, mapping) for a in t.args))
-    return t
+    frames = []  # (functor, source args, copied args) per compound in progress
+    while True:
+        t = deref(t)
+        tx = type(t)
+        if tx is Struct:
+            args = t.args
+            frames.append((t.functor, args, []))
+            t = args[0]
+            continue
+        if tx is Var:
+            v = mapping.get(t)
+            if v is None:
+                v = mapping[t] = Var(t.name)
+            t = v
+        # t is a finished copy: hand it to its parent, closing every
+        # compound it completes
+        while frames:
+            f, src, dst = frames[-1]
+            dst.append(t)
+            if len(dst) < len(src):
+                t = src[len(dst)]
+                break
+            frames.pop()
+            t = Struct(f, tuple(dst))
+        else:
+            return t
 
 
 _BARE_ATOM_OK = frozenset("abcdefghijklmnopqrstuvwxyz")

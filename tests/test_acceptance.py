@@ -74,7 +74,7 @@ def test_criterion_1_worked_example_fidelity():
         ok &= set(frames) == {"a", "b"}
         for f in frames.values():
             ok &= f.state == "complete"
-            ok &= {n.token for n in eng.ts.completed_iterator(f)} == {1, 2}
+            ok &= {n.token for n in f.solution_order} == {1, 2}
     check("C1 worked example: answers {1,2} and complete tables a:{1,2} b:{1,2} under all 8 configs", ok)
 
 

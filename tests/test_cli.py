@@ -66,6 +66,25 @@ def test_run_bad_query_is_parse_error(program_file, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def nested_fact(tmp_path, depth):
+    p = tmp_path / "deep.pl"
+    p.write_text("p(" + "f(" * depth + "a" + ")" * depth + ").\n")
+    return str(p)
+
+
+def test_run_deeply_nested_answer(tmp_path, capsys):
+    assert main(["run", "--program", nested_fact(tmp_path, 900), "--query", "p(X)."]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "X = " + "f(" * 900 + "a" + ")" * 900
+
+
+def test_run_too_deeply_nested_is_parse_error(tmp_path, capsys):
+    assert main(["run", "--program", nested_fact(tmp_path, 5000), "--query", "p(X)."]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert "term nested too deeply" in err and "Traceback" not in err
+
+
 def test_run_step_budget_is_engine_error(program_file, capsys):
     assert main(["run", "--program", program_file, "--query", "a(X).",
                  "--step-budget", "5"]) == 1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lintab.bench import gen_edges, GraphConfig, make_path_program, edge_facts, oracle_reachability
 from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded, StrategyConfig, solve
 from lintab.reader import parse_program, parse_query
+from lintab.terms import term_to_str
 
 MUTUAL = """
 :- table a/1.
@@ -32,6 +33,12 @@ path(X,Z) :- edge(X,Y), path(Y,Z).
 path(X,Z) :- edge(X,Z).
 """
 
+LEFT_PATH = """
+:- table path/2.
+path(X,Z) :- path(X,Y), edge(Y,Z).
+path(X,Z) :- edge(X,Z).
+"""
+
 
 def run(text, query, config=StrategyConfig(), **kw):
     eng = Engine(parse_program(text), config, validate=kw.pop("validate", True), **kw)
@@ -40,7 +47,8 @@ def run(text, query, config=StrategyConfig(), **kw):
 
 
 def path_program(edges, variant="recursive_first"):
-    return make_path_program(variant) + edge_facts(list(edges))
+    head = LEFT_PATH if variant == "left_recursive" else make_path_program(variant)
+    return head + edge_facts(list(edges))
 
 
 def engine_pairs(text, query, config):
@@ -79,7 +87,7 @@ def test_mutual_recursion_all_configs(config):
     assert set(by_name) == {"a", "b"}
     for f in by_name.values():
         assert f.state == "complete"
-        sols = {node.token for node in eng.ts.completed_iterator(f)}
+        sols = {node.token for node in f.solution_order}
         assert sols == {1, 2}
 
 
@@ -132,7 +140,7 @@ def test_empty_relation_completes_empty(config):
     assert answers == []
     (frame,) = eng.ts.frames
     assert frame.state == "complete"
-    assert list(eng.ts.completed_iterator(frame)) == []
+    assert frame.solution_order == []
 
 
 def test_ground_query_true_or_false():
@@ -159,6 +167,15 @@ def test_step_budget_exceeded():
     eng = Engine(parse_program(text), StrategyConfig(), step_budget=200)
     with pytest.raises(StepBudgetExceeded):
         eng.run_query(parse_query("path(X,Z)."))
+
+
+def test_watched_runs_keep_the_step_budget_verdict():
+    # tracing and validation observe the unwatched evaluation, step for step
+    text = path_program(gen_edges(GraphConfig("grid", 3)))
+    for kw in ({}, {"trace": True}, {"validate": True}):
+        eng = Engine(parse_program(text), StrategyConfig(), step_budget=1712, **kw)
+        eng.run_query(parse_query("path(X,Z)."))
+        assert eng.steps == 1352
 
 
 def test_empty_query_rejected():
@@ -277,14 +294,42 @@ edge_lists = st.lists(
 )
 
 
+NEW_SOLUTION_RE = re.compile(r"new_solution g\d+ \d+$")
+
+
+def watched_run(text, query, config):
+    """Run one cell plain, traced and validated.  All three must report the
+    same counters, steps and ordered answers, and the traced log must
+    account for every consumed and every emitted solution."""
+    runs = []
+    for kw in ({}, {"trace": True}, {"validate": True}):
+        eng = Engine(parse_program(text), config, **kw)
+        raw, stats = eng.run_query(parse_query(query))
+        runs.append((eng, eng.answers(raw), stats))
+    plain, answers, stats = runs[0]
+    shown = [term_to_str(t) for t in answers]
+    for eng, got, got_stats in runs[1:]:
+        assert got_stats.as_dict() == stats.as_dict()
+        assert eng.steps == plain.steps
+        assert [term_to_str(t) for t in got] == shown
+    events = runs[1][0].events
+    consumed = [e for e in events if e.startswith("consume ") and e.endswith(" via=generator")]
+    assert len(consumed) == stats.nonleader_sols_consumed
+    assert sum(1 for e in events if NEW_SOLUTION_RE.match(e)) == stats.answers_emitted
+    return answers, stats
+
+
+PATH_VARIANTS = st.sampled_from(["recursive_first", "recursive_last", "left_recursive"])
+
+
 @settings(max_examples=40, deadline=None)
-@given(edges=edge_lists, variant=st.sampled_from(["recursive_first", "recursive_last"]))
+@given(edges=edge_lists, variant=PATH_VARIANTS)
 def test_random_graphs_all_configs_match_oracle(edges, variant):
     want = oracle_reachability(edges)
     text = path_program(edges, variant)
     per_config = {}
     for config in ALL_CONFIGS:
-        _, answers, stats = run(text, "path(X,Z).", config)
+        answers, stats = watched_run(text, "path(X,Z).", config)
         assert {(t.args[0], t.args[1]) for t in answers} == want
         per_config[config.label] = stats
     # pruning only ever removes work
@@ -293,10 +338,10 @@ def test_random_graphs_all_configs_match_oracle(edges, variant):
 
 
 @settings(max_examples=25, deadline=None)
-@given(edges=edge_lists)
-def test_random_graphs_bound_query(edges):
+@given(edges=edge_lists, variant=PATH_VARIANTS)
+def test_random_graphs_bound_query(edges, variant):
     want = {p for p in oracle_reachability(edges) if p[0] == 1}
-    text = path_program(edges)
+    text = path_program(edges, variant)
     for config in ALL_CONFIGS:
-        _, answers, _ = run(text, "path(1,Z).", config)
+        answers, _ = watched_run(text, "path(1,Z).", config)
         assert {(t.args[0], t.args[1]) for t in answers} == want

@@ -10,10 +10,11 @@ from lintab.tablespace import (
     SubgoalFrame,
     TableSpace,
     TablingInvariantError,
+    drs_selection,
     solution_term,
     terminal_tokens,
 )
-from lintab.terms import Struct, Var, atom, canonicalize, functor, variant
+from lintab.terms import Struct, Var, atom, functor, term_tokens
 
 
 def s(name, *args):
@@ -53,7 +54,7 @@ def test_solution_check_insert_dedup_and_order():
     assert ts.solution_check_insert(s("p", 1), f) is False
     assert ts.solution_check_insert(s("p", 2), f) is True
     got = [solution_term(n) for n in f.solution_order]
-    assert variant(got[0], s("p", 1)) and variant(got[1], s("p", 2))
+    assert [term_tokens(t) for t in got] == [term_tokens(s("p", 1)), term_tokens(s("p", 2))]
     assert [n.ordinal for n in f.solution_order] == [0, 1]
 
 
@@ -80,7 +81,7 @@ def insert_ints(ts, f, vals):
 def test_load_all_insertion_order():
     ts, f = make_frame()
     insert_ints(ts, f, [3, 1, 2])
-    got = [solution_term(n).args[0] for n in ts.load_solutions(f, "all")]
+    got = [solution_term(n).args[0] for n in f.solution_order]
     assert got == [3, 1, 2]
 
 
@@ -90,7 +91,7 @@ def test_load_current_round_only():
     ts.begin_round(f)
     f.first_solution_in_current_round = 2  # ordinal of the next insert
     insert_ints(ts, f, [3])
-    got = [solution_term(n).args[0] for n in ts.load_solutions(f, "looping_plus_current_round")]
+    got = [solution_term(n).args[0] for n in drs_selection(f)]
     assert got == [3]
 
 
@@ -98,7 +99,7 @@ def test_load_looping_only():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2])
     ts.mark_looping_solution(f, f.solution_order[0])
-    got = [solution_term(n).args[0] for n in ts.load_solutions(f, "looping_plus_current_round")]
+    got = [solution_term(n).args[0] for n in drs_selection(f)]
     assert got == [1]
 
 
@@ -107,14 +108,8 @@ def test_load_looping_plus_round_deduplicated():
     insert_ints(ts, f, [1, 2, 3])
     ts.mark_looping_solution(f, f.solution_order[2])
     f.first_solution_in_current_round = 2
-    got = [solution_term(n).args[0] for n in ts.load_solutions(f, "looping_plus_current_round")]
+    got = [solution_term(n).args[0] for n in drs_selection(f)]
     assert got == [3]
-
-
-def test_unknown_load_mode():
-    ts, f = make_frame()
-    with pytest.raises(ValueError):
-        ts.load_solutions(f, "some")
 
 
 def test_mark_looping_alternative_idempotent_ordered():
@@ -142,20 +137,15 @@ def test_begin_round_resets_marker():
     assert f.first_solution_in_current_round is None
 
 
-def test_completed_iterator():
+def test_completed_table_keeps_its_answers():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2])
     f.set_state(EVALUATING)
     f.set_state(COMPLETE)
-    a = [solution_term(n).args[0] for n in ts.completed_iterator(f)]
-    b = [solution_term(n).args[0] for n in ts.completed_iterator(f)]
-    assert a == b == [1, 2]
-
-
-def test_completed_iterator_requires_complete():
-    ts, f = make_frame()
+    assert [solution_term(n).args[0] for n in f.solution_order] == [1, 2]
     with pytest.raises(TablingInvariantError):
-        ts.completed_iterator(f)
+        ts.solution_check_insert(s("p", 3), f)
+    assert [solution_term(n).args[0] for n in f.solution_order] == [1, 2]
 
 
 def test_state_transition_relation():
@@ -237,16 +227,16 @@ def test_prop_trie_bijection(skels):
     seen = set()
     for sk in skels:
         t = s("p", build(sk, {}))
-        key = canonicalize(t)
+        key = term_tokens(t)
         is_new = ts.solution_check_insert(t, frame)
         assert is_new == (key not in seen)
         seen.add(key)
     assert count_terminals(frame.solution_trie_root) == len(seen)
     assert len(frame.solution_order) == len(seen)
     # stored and reported canonical forms coincide
-    assert {canonicalize(solution_term(n)) for n in frame.solution_order} == seen
+    assert {term_tokens(solution_term(n)) for n in frame.solution_order} == seen
     for n in frame.solution_order:
-        assert terminal_tokens(n) == canonicalize(solution_term(n))
+        assert terminal_tokens(n) == term_tokens(solution_term(n))
 
 
 @given(
@@ -264,8 +254,8 @@ def test_prop_looping_plus_round_is_subsequence_of_all(vals, data):
             ts.mark_looping_solution(frame, node)
     fir = data.draw(st.one_of(st.none(), st.integers(0, max(n - 1, 0))))
     frame.first_solution_in_current_round = fir if n else None
-    all_sols = [n_.ordinal for n_ in ts.load_solutions(frame, "all")]
-    some = [n_.ordinal for n_ in ts.load_solutions(frame, "looping_plus_current_round")]
+    all_sols = [n_.ordinal for n_ in frame.solution_order]
+    some = [n_.ordinal for n_ in drs_selection(frame)]
     it = iter(all_sols)
     assert all(x in it for x in some)  # subsequence check
     assert len(set(some)) == len(some)

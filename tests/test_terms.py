@@ -6,7 +6,6 @@ from lintab.terms import (
     Trail,
     Var,
     atom,
-    canonicalize,
     deref,
     fresh_copy,
     functor,
@@ -14,7 +13,6 @@ from lintab.terms import (
     term_tokens,
     tokens_to_term,
     unify,
-    variant,
 )
 
 
@@ -40,7 +38,7 @@ def test_unify_atoms_and_ints():
 def test_unify_binds_and_undoes():
     x, y = Var("X"), Var("Y")
     tr = Trail()
-    m = tr.mark()
+    m = len(tr)
     assert unify(s("f", x, 3), s("f", atom("a"), y), tr)
     assert deref(x) is atom("a")
     assert deref(y) == 3
@@ -91,7 +89,12 @@ def test_tokens_follow_bindings():
     assert term_tokens(s("f", x)) == (functor("f", 1), atom("a"))
 
 
+def variant(a, b):
+    return term_tokens(a) == term_tokens(b)
+
+
 def test_variant():
+    # variant identity is equality of canonical token streams
     assert variant(s("p", Var(), Var()), s("p", Var(), Var()))
     x = Var()
     y = Var()
@@ -122,6 +125,18 @@ def test_fresh_copy_is_variant_and_independent():
     unify(x, 1, tr)
     # the copy's variables stay untouched
     assert term_tokens(c) == (functor("p", 3), ("v", 0), ("v", 0), 3)
+
+
+def test_fresh_copy_deeply_nested():
+    x = Var("X")
+    t = x
+    for _ in range(5000):
+        t = s("f", t)
+    c = fresh_copy(t)
+    assert term_tokens(c) == term_tokens(t)
+    tr = Trail()
+    unify(x, 1, tr)
+    assert term_tokens(c)[-1] == ("v", 0)
 
 
 def test_term_to_str():
@@ -176,8 +191,8 @@ def test_prop_tokens_roundtrip(skel):
 @given(_skel)
 def test_prop_canonicalize_stable_under_decode(skel):
     t = build(skel, {})
-    c = canonicalize(t)
-    assert canonicalize(tokens_to_term(c)) == c
+    c = term_tokens(t)
+    assert term_tokens(tokens_to_term(c)) == c
 
 
 @given(_skel)
@@ -197,7 +212,7 @@ def test_prop_unify_symmetric(sa, sb):
     assert r1 == r2
     if r1:
         # both orders produce the same instantiation
-        assert canonicalize(Struct(functor("pair", 2), (a1, b1))) == canonicalize(
+        assert term_tokens(Struct(functor("pair", 2), (a1, b1))) == term_tokens(
             Struct(functor("pair", 2), (a2, b2))
         )
 
@@ -207,9 +222,9 @@ def test_prop_undo_restores_everything(sa, sb):
     pool = {}
     a, b = build(sa, pool), build(sb, pool)
     tr = Trail()
-    m = tr.mark()
-    before = canonicalize(Struct(functor("pair", 2), (a, b)))
+    m = len(tr)
+    before = term_tokens(Struct(functor("pair", 2), (a, b)))
     unify(a, b, tr)
     tr.undo_to(m)
-    assert canonicalize(Struct(functor("pair", 2), (a, b))) == before
+    assert term_tokens(Struct(functor("pair", 2), (a, b))) == before
     assert all(v.ref is None for v in pool.values())
