@@ -17,7 +17,8 @@ import sys
 import time
 
 from .bench import BenchSpec, GraphConfig, SHAPES, run_matrix
-from .engine import ALL_CONFIGS, DEFAULT_STEP_BUDGET, Engine, StepBudgetExceeded, StrategyConfig
+from .engine import (ALL_CONFIGS, DEFAULT_STEP_BUDGET, Engine, StepBudgetExceeded, StrategyConfig,
+                     query_template)
 from .reader import ParseError, parse_program, parse_query
 from .tablespace import TablingInvariantError
 from .terms import Struct, Var, term_to_str
@@ -36,6 +37,16 @@ def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--drs", action="store_true", help="propagate only looping and current-round solutions")
 
 
+def _step_budget(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lintab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -45,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--query", required=True, help="query text, '.'-terminated")
     _add_strategy_flags(runp)
     runp.add_argument("--stats", choices=("text", "structured"), default="text")
-    runp.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET)
+    runp.add_argument("--step-budget", type=_step_budget, default=DEFAULT_STEP_BUDGET)
 
     benchp = sub.add_parser("bench", help="run the strategy matrix on a generated graph")
     benchp.add_argument("--shape", required=True, choices=SHAPES)
@@ -56,27 +67,30 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_strategy_flags(benchp)
     benchp.add_argument("--all-configs", action="store_true", help="run all 8 strategy combinations")
     benchp.add_argument("--stats", choices=("text", "structured"), default="text")
-    benchp.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET)
+    benchp.add_argument("--step-budget", type=_step_budget, default=DEFAULT_STEP_BUDGET)
     return parser
 
 
-def _collect_bindings(template, answer, out: dict) -> None:
-    # first occurrence of each query variable wins; answers are fresh copies
-    # shaped exactly like the template
-    if type(template) is Var:
-        if template not in out:
-            out[template] = answer
-        return
-    if type(template) is Struct:
-        for t, a in zip(template.args, answer.args):
-            _collect_bindings(t, a, out)
+def _collect_bindings(template, answer) -> dict:
+    """Map each query variable to its value in ``answer``.  Answers are
+    fresh copies shaped exactly like the template; the first occurrence
+    of each variable wins, in left-to-right order."""
+    out: dict = {}
+    stack = [(template, answer)]
+    while stack:
+        t, a = stack.pop()
+        if type(t) is Var:
+            if t not in out:
+                out[t] = a
+        elif type(t) is Struct:
+            stack.extend(zip(reversed(t.args), reversed(a.args)))
+    return out
 
 
 def _format_answer(template, varmap: dict, answer) -> str:
     if not varmap:
         return "true"
-    bound: dict = {}
-    _collect_bindings(template, answer, bound)
+    bound = _collect_bindings(template, answer)
     names: dict = {}
     parts = [f"{name} = {term_to_str(bound[v], names)}" for name, v in varmap.items() if v in bound]
     return ", ".join(parts) if parts else "true"
@@ -106,18 +120,9 @@ def _cmd_run(args) -> int:
         return 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
     answers = engine.answers(raw)
-    template = goals[0] if len(goals) == 1 else None
+    template = query_template(goals)
     for a in answers:
-        if template is None:
-            # conjunction: the collected copy holds the goals in order
-            line_bound: dict = {}
-            for t, got in zip(goals, a.args):
-                _collect_bindings(t, got, line_bound)
-            names: dict = {}
-            parts = [f"{n} = {term_to_str(line_bound[v], names)}" for n, v in varmap.items() if v in line_bound]
-            print(", ".join(parts) if parts else "true")
-        else:
-            print(_format_answer(template, varmap, a))
+        print(_format_answer(template, varmap, a))
     if args.stats == "structured":
         rec = {"config": config.label, "dre": config.dre, "dra": config.dra, "drs": config.drs,
                "answer_count": len(answers), "wall_ms": round(wall_ms, 3)}

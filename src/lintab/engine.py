@@ -164,8 +164,7 @@ K_CONSUMER = 3
 K_FOLLOWER = 4
 
 PH_CLAUSES = 0
-PH_CONSUME = 1  # non-leader propagation to the caller
-PH_DELIVER = 2  # completed-table streaming to the caller
+PH_CONSUME = 1  # clauses spent: the choice point delivers its answers
 
 # delivery plans
 PLAN_GENERAL = 0
@@ -193,7 +192,6 @@ class _CP:
         "c0",
         "c1",
         "via",
-        "count_sols",
         "sols",
         "table_len",
     )
@@ -217,9 +215,8 @@ class _CP:
         self.c0 = None
         self.c1 = None
         self.via = ""
-        self.count_sols = False
         self.sols = None  # the answers this choice point delivers, by index
-        self.table_len = None  # table size at consume entry, under validate
+        self.table_len = None  # table size when a non-leader starts consuming
 
 
 class Engine:
@@ -232,12 +229,10 @@ class Engine:
         *,
         step_budget: int = DEFAULT_STEP_BUDGET,
         trace: bool = False,
-        validate: bool = False,
     ):
         self.config = config or StrategyConfig()
         self.step_budget = step_budget
         self.events: list[str] | None = [] if trace else None
-        self.validate = validate
         self.preds: dict[Functor, _Pred] = {}
         for f, clauses in program.predicates.items():
             self.preds[f] = _Pred(f, clauses, f in program.tabled)
@@ -245,7 +240,10 @@ class Engine:
             if f not in self.preds:
                 self.preds[f] = _Pred(f, [], True)
         self._warned: set[Functor] = set()
-        # per-run state, reset in run_query
+        self._reset([])
+
+    def _reset(self, goals: list) -> None:
+        """The per-run state, fresh for a query of ``goals``."""
         self.ts = TableSpace()
         self.stats = EvalStats()
         self.trail = Trail()
@@ -256,10 +254,10 @@ class Engine:
         self.clock = 0
         self.steps = 0
         self.raw_answers: list = []
-        self._collect_cell = None
-        self._single_goal = None
-        self._template = None
-        self._roles: dict = {}
+        self._template = query_template(goals) if goals else None
+        self._single_goal = goals[0] if len(goals) == 1 else None
+        self._collect_cell = (_COLLECT, None)
+        self._roles: dict = {}  # fid -> {clause: "pioneer" | "follower"} this round
 
     # -- dependency events ----------------------------------------------
 
@@ -285,26 +283,12 @@ class Engine:
     def run_query(self, goals: list) -> tuple[list, EvalStats]:
         """Evaluate a goal conjunction.  Returns raw answers (terms, or
         solution-trie terminals when a batch delivery ran) and the stats."""
-        self.ts = TableSpace()
-        self.stats = EvalStats()
-        self.trail = Trail()
-        self.cps = []
-        self.gen_stack = []
-        self.ev_stamps = []
-        self.ev_depths = []
-        self.clock = 0
-        self.steps = 0
-        self.raw_answers = []
-        self._roles = {}
         if not goals:
             raise ValueError("empty query")
-        template = goals[0] if len(goals) == 1 else Struct(functor(",", len(goals)), tuple(goals))
-        self._single_goal = goals[0] if len(goals) == 1 else None
-        self._collect_cell = (_COLLECT, None)
+        self._reset(goals)
         cont = self._collect_cell
         for g in reversed(goals):
             cont = (g, cont)
-        self._template = template
         self._run(cont)
         self._check_exit_invariants()
         return self.raw_answers, self.stats
@@ -352,10 +336,6 @@ class Engine:
                         break
                     kind = pred.kind
                     self.steps += 1
-                    if self.steps >= budget:
-                        raise StepBudgetExceeded(
-                            f"step budget of {budget} exceeded"
-                        )
                     if kind == _P_FACT0:
                         sc = stats.sld_calls
                         sc[pred.key] = sc.get(pred.key, 0) + 1
@@ -403,8 +383,12 @@ class Engine:
                     break
                 raise TablingInvariantError(f"bad continuation entry {entry!r}")
 
-            # FAIL: retry the youngest choice point
+            # FAIL: retry the youngest choice point.  Every path that adds
+            # steps ends here, so one check bounds calls, deliveries and
+            # inserts alike.
             while cont is None:
+                if self.steps >= budget:
+                    raise StepBudgetExceeded(f"step budget of {budget} exceeded")
                 if not cps:
                     return
                 cp = cps[-1]
@@ -521,11 +505,7 @@ class Engine:
         # evaluating / loop_evaluating: a repeated call
         self._record_event(frame.stack_depth)
         cfg = self.config
-        if (
-            cfg.dre
-            and frame.pioneer_active
-            and frame.next_alternative < len(frame.alt_seq)
-        ):
+        if cfg.dre and frame.next_alternative < len(frame.alt_seq):
             self.stats.followers_created += 1
             cp = _CP(K_FOLLOWER, len(self.trail), rest)
             cp.frame = frame
@@ -549,7 +529,6 @@ class Engine:
         frame.stack_depth = len(gs)
         gs.append(frame)
         frame.push_stamp = self.clock
-        frame.pioneer_active = True
         self._begin_round(frame, first_round)
         cp = _CP(K_GENERATOR, len(self.trail), rest)
         cp.frame = frame
@@ -579,7 +558,7 @@ class Engine:
             if self.config.dra:
                 d = self._min_event_depth_since(cp.alt_open)
                 if d is not None and d <= frame.stack_depth:
-                    TableSpace.mark_looping_alternative(frame, cp.cur_clause)
+                    frame.looping_alternatives.setdefault(cp.cur_clause)
             cp.alt_open = None
 
     def _try_alternatives(self, cp, role: str):
@@ -594,7 +573,8 @@ class Engine:
         self._close_alt_window(cp, frame)
         pred = self.preds[frame.functor]
         seq = frame.alt_seq
-        while frame.pioneer_active and frame.next_alternative < len(seq):
+        # a frame off the generator stack has no pioneer left to follow
+        while frame.stack_depth is not None and frame.next_alternative < len(seq):
             ci = seq[frame.next_alternative]
             frame.next_alternative += 1
             trail.undo_to(cp.mark)
@@ -604,10 +584,9 @@ class Engine:
                 continue
             self.stats.alts_explored += 1
             self.steps += 1
-            if self.validate:
-                self._note_role(frame, ci, role)
-                if dra and frame.state == LOOP_EVALUATING and ci not in frame.looping_alternatives:
-                    raise TablingInvariantError(f"loop round ran non-looping clause {ci}")
+            self._note_role(frame, ci, role)
+            if dra and frame.state == LOOP_EVALUATING and ci not in frame.looping_alternatives:
+                raise TablingInvariantError(f"loop round ran non-looping clause {ci}")
             if self.events is not None:
                 self._ev(f"alt g{frame.fid} {ci}")
             cp.cur_clause = ci
@@ -631,7 +610,6 @@ class Engine:
             # cursor exhausted: fix-point check
             md = self._min_event_depth_since(frame.push_stamp)
             if md is None or md >= frame.stack_depth:
-                frame.is_leader = True
                 # md == depth means a repeated call targeted this frame:
                 # the subgoal depends on itself, so a round that grew any
                 # table in the component forces another pass.  Without a
@@ -647,16 +625,14 @@ class Engine:
                     continue
                 self._complete_scc(cp, frame)
                 return self._deliver(cp)
-            frame.is_leader = False
             if self.events is not None:
                 self._ev(f"fixpoint g{frame.fid} propagate")
             # nothing inserts into this table while its generator consumes
             # (see _deliver), so the DRS selection is made once, here
             cp.phase = PH_CONSUME
-            if self.validate:
-                cp.table_len = len(frame.solution_order)
+            cp.table_len = len(frame.solution_order)
             sols = drs_selection(frame) if self.config.drs else frame.solution_order
-            self._start_delivery(cp, "generator", sols, count_sols=True)
+            self._start_delivery(cp, "generator", sols)
             return self._deliver(cp)
 
     def _restart_round(self, cp, frame) -> None:
@@ -670,7 +646,6 @@ class Engine:
         d = frame.stack_depth
         for m in gs[d + 1 :]:
             m.set_state(LOOP_READY)
-            m.pioneer_active = False
             m.stack_depth = None
             m.new_solutions = False
         del gs[d + 1 :]
@@ -682,39 +657,36 @@ class Engine:
     def _begin_round(self, frame, first_round: bool) -> None:
         """Reset the frame's shared clause cursor for a pass over its
         clauses; a DRA re-evaluation round runs only looping ones."""
-        self.ts.begin_round(frame)
+        frame.first_solution_in_current_round = None
         if self.config.dra and not first_round:
             frame.alt_seq = tuple(frame.looping_alternatives)
         else:
             frame.alt_seq = self.preds[frame.functor].all_alts
         frame.next_alternative = 0
-        if self.validate:
-            self._roles[frame.fid] = {}
+        self._roles[frame.fid] = {}
 
     def _complete_scc(self, cp, frame) -> None:
         trace = self.events is not None
         gs = self.gen_stack
         d = frame.stack_depth
         for m in gs[d + 1 :]:
-            if self.validate and m.new_solutions:
+            if m.new_solutions:
                 raise TablingInvariantError("completing member with pending solutions")
             m.set_state(COMPLETE)
-            m.pioneer_active = False
             m.stack_depth = None
             if trace:
                 self._ev(f"complete g{m.fid}")
         frame.set_state(COMPLETE)
-        frame.pioneer_active = False
         frame.stack_depth = None
         del gs[d:]
         if trace:
             self._ev(f"fixpoint g{frame.fid} complete")
             self._ev(f"complete g{frame.fid}")
-        cp.phase = PH_DELIVER
+        cp.phase = PH_CONSUME
         self._start_delivery(cp, "completed", frame.solution_order)
 
     def _note_role(self, frame, clause, role) -> None:
-        m = self._roles.setdefault(frame.fid, {})
+        m = self._roles[frame.fid]
         prev = m.get(clause)
         if prev is not None and prev != role:
             raise TablingInvariantError(
@@ -736,11 +708,10 @@ class Engine:
 
     # -- deliveries ------------------------------------------------------------
 
-    def _start_delivery(self, cp, via: str, sols: list, count_sols: bool = False) -> None:
+    def _start_delivery(self, cp, via: str, sols: list) -> None:
         cp.via = via
         cp.sols = sols
         cp.idx = 0
-        cp.count_sols = count_sols
         cp.plan = self._make_plan(cp.call, cp.cont)
 
     def _make_plan(self, call, cont):
@@ -786,7 +757,9 @@ class Engine:
     def _deliver(self, cp):
         """Hand the choice point's next answers to its continuation: the
         rest of the list on a batch plan, one answer on the general plan.
-        Steps and consumed solutions are counted here, one per answer."""
+        Steps and consumed solutions are counted here, one per answer: a
+        generator whose frame is still on the generator stack is a
+        non-leader handing its table to its caller."""
         start = cp.idx
         tag = cp.plan[0]
         if tag == PLAN_TABLE:
@@ -795,18 +768,15 @@ class Engine:
             self._burst_collect(cp)
         # a table burst that meets a non-atomic answer switches to general
         cont = self._deliver_general(cp) if cp.plan[0] == PLAN_GENERAL else None
+        nonleader = cp.kind == K_GENERATOR and cp.frame.stack_depth is not None
         n = cp.idx - start
         if n:
             self.steps += n
-            if cp.count_sols:
+            if nonleader:
                 self.stats.nonleader_sols_consumed += n
         if cont is not None:
             return cont
-        if (
-            self.validate
-            and cp.count_sols
-            and len(cp.frame.solution_order) != cp.table_len
-        ):
+        if nonleader and len(cp.frame.solution_order) != cp.table_len:
             raise TablingInvariantError(
                 f"table of g{cp.frame.fid} grew while its generator consumed it"
             )
@@ -897,6 +867,12 @@ class Engine:
         return cp.cont
 
 
+def query_template(goals: list):
+    """The term each answer to ``goals`` instantiates: the goal itself, or
+    ``','(G1, ..., Gn)`` for a conjunction."""
+    return goals[0] if len(goals) == 1 else Struct(functor(",", len(goals)), tuple(goals))
+
+
 def solve(
     program: Program,
     query: list,
@@ -904,15 +880,12 @@ def solve(
     *,
     step_budget: int = DEFAULT_STEP_BUDGET,
     trace: bool = False,
-    validate: bool = False,
 ) -> tuple[list, EvalStats]:
     """Evaluate ``query`` (a goal list) against ``program``.
 
     Returns the ordered answer list (instantiated query terms) and the
     evaluation statistics.  Each call uses a fresh table space.
     """
-    eng = Engine(
-        program, config, step_budget=step_budget, trace=trace, validate=validate
-    )
+    eng = Engine(program, config, step_budget=step_budget, trace=trace)
     raw, stats = eng.run_query(query)
     return eng.answers(raw), stats

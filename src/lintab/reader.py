@@ -109,28 +109,41 @@ class _Parser:
 
     # one namespace of variables per clause / query
     def term(self, varmap: dict) -> object:
-        kind, val, line, col = self.next()
-        if kind == "int":
-            return val
-        if kind == "var":
-            if val == "_":
-                return Var()
-            v = varmap.get(val)
-            if v is None:
-                v = Var(val)
-                varmap[val] = v
-            return v
-        if kind == "atom":
-            if self.peek()[0] != "(":
-                return functor(val, 0)
-            self.next()
-            args = [self.term(varmap)]
-            while self.peek()[0] == ",":
-                self.next()
-                args.append(self.term(varmap))
-            self.expect(")", "')'")
-            return Struct(functor(val, len(args)), tuple(args))
-        raise ParseError("expected a term", line, col)
+        # compounds still open, (name, args so far), innermost last: an
+        # explicit stack, so any nesting depth parses
+        stack: list = []
+        while True:
+            kind, val, line, col = self.next()
+            if kind == "int":
+                t = val
+            elif kind == "var":
+                if val == "_":
+                    t = Var()
+                else:
+                    t = varmap.get(val)
+                    if t is None:
+                        t = varmap[val] = Var(val)
+            elif kind == "atom":
+                if self.peek()[0] == "(":
+                    self.next()
+                    stack.append((val, []))
+                    continue
+                t = functor(val, 0)
+            else:
+                raise ParseError("expected a term", line, col)
+            # t is complete: add it to the innermost compound, closing
+            # every compound it completes
+            while stack:
+                args = stack[-1][1]
+                args.append(t)
+                if self.peek()[0] == ",":
+                    self.next()
+                    break
+                self.expect(")", "')'")
+                name, _ = stack.pop()
+                t = Struct(functor(name, len(args)), tuple(args))
+            else:
+                return t
 
     def callable_term(self, varmap: dict, role: str) -> object:
         t0 = self.peek()
@@ -151,21 +164,8 @@ def _goal_functor(t) -> Functor:
     return t if type(t) is Functor else t.functor
 
 
-def _too_deep(p: _Parser) -> ParseError:
-    # the term parser recurses once per nesting level
-    t = p.peek()
-    return ParseError("term nested too deeply", t[2], t[3])
-
-
 def parse_program(text: str) -> Program:
     p = _Parser(text)
-    try:
-        return _program(p)
-    except RecursionError:
-        raise _too_deep(p) from None
-
-
-def _program(p: _Parser) -> Program:
     prog = Program()
     body_preds: list[Functor] = []
     while p.peek()[0] != "eof":
@@ -212,10 +212,7 @@ def parse_query(text: str, varmap: dict | None = None) -> list:
     if p.peek()[0] == "eof":
         t = p.peek()
         raise ParseError("empty query", t[2], t[3])
-    try:
-        goals = list(p.body(varmap if varmap is not None else {}))
-    except RecursionError:
-        raise _too_deep(p) from None
+    goals = list(p.body(varmap if varmap is not None else {}))
     p.expect(".", "'.'")
     if p.peek()[0] != "eof":
         p.fail("trailing text after query")

@@ -95,13 +95,11 @@ class SubgoalFrame:
         "solution_trie_root",
         "sol_func_node",
         "solution_order",
-        "is_leader",
         "new_solutions",
         "looping_alternatives",
         "first_solution_in_current_round",
         "next_alternative",
         "alt_seq",
-        "pioneer_active",
         "stack_depth",
         "push_stamp",
         "flat_pairs",
@@ -116,14 +114,12 @@ class SubgoalFrame:
         # every solution starts with the functor token; pre-create that level
         self.sol_func_node = self.solution_trie_root.child(functor)
         self.solution_order: list[TrieNode] = []
-        self.is_leader = True
         self.new_solutions = False
         self.looping_alternatives: dict[int, None] = {}  # ordered set
         self.first_solution_in_current_round: Optional[int] = None  # ordinal
         self.next_alternative = 0  # cursor into alt_seq, shared with followers
         self.alt_seq: tuple = ()  # clause indices the current round runs
-        self.pioneer_active = False
-        self.stack_depth: Optional[int] = None
+        self.stack_depth: Optional[int] = None  # set while on the generator stack
         self.push_stamp = 0
         # true while every stored solution is f(atomic, atomic); lets bulk
         # readers skip per-node shape checks
@@ -182,25 +178,16 @@ class TableSpace:
         return True
 
     @staticmethod
-    def mark_looping_alternative(frame: SubgoalFrame, clause_index: int) -> None:
-        frame.looping_alternatives.setdefault(clause_index)
-
-    @staticmethod
     def mark_looping_solution(frame: SubgoalFrame, node: TrieNode) -> None:
         if node.ordinal is None:
             raise TablingInvariantError("looping mark on a non-solution node")
         node.looping = True
 
-    @staticmethod
-    def begin_round(frame: SubgoalFrame) -> None:
-        frame.first_solution_in_current_round = None
-
     def dump(self) -> str:
         """Deterministic text rendering, one frame per block."""
         out = []
         for fr in self.frames:
-            leader = "yes" if fr.is_leader else "no"
-            out.append(f"== {fr.subgoal_str()} state={fr.state} leader={leader}")
+            out.append(f"== {fr.subgoal_str()} state={fr.state}")
             if fr.looping_alternatives:
                 idxs = ",".join(str(i) for i in fr.looping_alternatives)
                 out.append(f"   looping_alts: [{idxs}]")

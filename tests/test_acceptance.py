@@ -68,7 +68,7 @@ def grid40_slds():
 def test_criterion_1_worked_example_fidelity():
     ok = True
     for config in ALL_CONFIGS:
-        eng, answers, _ = run_mutual(config, validate=True)
+        eng, answers, _ = run_mutual(config)
         ok &= {t.args[0] for t in answers} == {1, 2}
         frames = {f.functor.name: f for f in eng.ts.frames}
         ok &= set(frames) == {"a", "b"}
@@ -175,15 +175,15 @@ def test_criterion_8_property_suites(grid40):
     for report in grid40.values():
         ok &= report.cell(DRA).stats.alts_explored <= report.cell(STD).stats.alts_explored
         ok &= report.cell(DRS).stats.nonleader_sols_consumed <= report.cell(STD).stats.nonleader_sols_consumed
-    # DRE clause exclusivity: validate mode asserts pioneer/follower disjointness
-    _, answers, stats = run_mutual(DRE, validate=True)
+    # DRE clause exclusivity: every run asserts pioneer/follower disjointness
+    _, answers, stats = run_mutual(DRE)
     ok &= stats.followers_created == 2 and {t.args[0] for t in answers} == {1, 2}
     # completion totality and termination on a cyclic graph within the budget
     text = ":- table path/2.\npath(X,Z) :- edge(X,Y), path(Y,Z).\npath(X,Z) :- edge(X,Z).\n" + "\n".join(
         f"edge({i},{i % 30 + 1})." for i in range(1, 31)
     )
     for config in ALL_CONFIGS:
-        eng = Engine(parse_program(text), config, validate=True)
+        eng = Engine(parse_program(text), config)
         raw, _ = eng.run_query(parse_query("path(X,Z)."))
         ok &= len(raw) == 900
         ok &= all(f.state == "complete" for f in eng.ts.frames)

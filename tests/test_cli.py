@@ -1,6 +1,8 @@
 """Command-line interface tests: output shapes and exit-status classes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -78,17 +80,52 @@ def test_run_deeply_nested_answer(tmp_path, capsys):
     assert out[0] == "X = " + "f(" * 900 + "a" + ")" * 900
 
 
-def test_run_too_deeply_nested_is_parse_error(tmp_path, capsys):
-    assert main(["run", "--program", nested_fact(tmp_path, 5000), "--query", "p(X)."]) == 2
-    err = capsys.readouterr().err
-    assert err.splitlines() == [err.strip()]
-    assert "term nested too deeply" in err and "Traceback" not in err
+def test_run_deep_fact_prints_its_binding(tmp_path, capsys):
+    # past the interpreter's recursion limit: reader, engine and printer
+    # all walk terms iteratively
+    assert main(["run", "--program", nested_fact(tmp_path, 5000), "--query", "p(X)."]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "X = " + "f(" * 5000 + "a" + ")" * 5000
+
+
+def test_run_deep_query_parses_and_answers(tmp_path, capsys):
+    depth = 10_000
+    deep = "g(" * depth + "a" + ")" * depth
+    p = tmp_path / "id.pl"
+    p.write_text(":- table id/2.\nid(X, X).\n")
+    assert main(["run", "--program", str(p), "--query", f"id({deep}, Y), id(Y, Z)."]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"Y = {deep}, Z = {deep}"
 
 
 def test_run_step_budget_is_engine_error(program_file, capsys):
     assert main(["run", "--program", program_file, "--query", "a(X).",
                  "--step-budget", "5"]) == 1
     assert "step budget" in capsys.readouterr().err
+
+
+def test_run_step_budget_bounds_answer_deliveries(tmp_path):
+    # q(f(Y)) :- p(Y) feeds p's own table and never calls a new predicate,
+    # so only a budget on every step stops it
+    p = tmp_path / "grow.pl"
+    p.write_text(":- table p/1.\np(X) :- q(X).\nq(f(Y)) :- p(Y).\nq(a).\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lintab.cli", "run", "--program", str(p), "--query", "p(X).",
+         "--step-budget", "1000"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "step budget of 1000 exceeded" in proc.stderr
+
+
+@pytest.mark.parametrize("cmd", [
+    ["run", "--program", "unused.pl", "--query", "a(X)."],
+    ["bench", "--shape", "cycle", "--depth", "4"],
+])
+def test_negative_step_budget_is_usage_error(cmd, capsys):
+    assert main(cmd + ["--step-budget", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert "must not be negative" in err and "exceeded" not in err
 
 
 def test_no_subcommand_is_usage_error(capsys):

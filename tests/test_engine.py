@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lintab.bench import gen_edges, GraphConfig, make_path_program, edge_facts, oracle_reachability
 from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded, StrategyConfig, solve
 from lintab.reader import parse_program, parse_query
+from lintab.tablespace import TablingInvariantError
 from lintab.terms import term_to_str
 
 MUTUAL = """
@@ -41,7 +42,7 @@ path(X,Z) :- edge(X,Z).
 
 
 def run(text, query, config=StrategyConfig(), **kw):
-    eng = Engine(parse_program(text), config, validate=kw.pop("validate", True), **kw)
+    eng = Engine(parse_program(text), config, **kw)
     raw, stats = eng.run_query(parse_query(query))
     return eng, eng.answers(raw), stats
 
@@ -96,6 +97,20 @@ def test_dra_marks_looping_alternatives():
     marks = {f.functor.name: set(f.looping_alternatives) for f in eng.ts.frames}
     # only the mutual-call clause of each predicate is looping
     assert marks == {"a": {0}, "b": {0}}
+
+
+def test_plain_run_checks_the_dra_loop_round(monkeypatch):
+    # a fault that lets a DRA loop round run every clause is caught by a
+    # plain run: the invariant checks are not optional
+    begin_round = Engine._begin_round
+
+    def every_clause(self, frame, first_round):
+        begin_round(self, frame, True)
+
+    monkeypatch.setattr(Engine, "_begin_round", every_clause)
+    eng = Engine(parse_program(MUTUAL), StrategyConfig(dra=True))
+    with pytest.raises(TablingInvariantError, match="^loop round ran non-looping clause 1$"):
+        eng.run_query(parse_query("a(X)."))
 
 
 def test_re_evaluation_rounds_standard_vs_dre():
@@ -169,10 +184,32 @@ def test_step_budget_exceeded():
         eng.run_query(parse_query("path(X,Z)."))
 
 
-def test_watched_runs_keep_the_step_budget_verdict():
-    # tracing and validation observe the unwatched evaluation, step for step
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.label)
+def test_step_budget_covers_every_step(config):
+    # the table of p/1 feeds itself through q/1 without calling a new
+    # predicate: deliveries and inserts are what grow the step count
+    text = ":- table p/1.\np(X) :- q(X).\nq(f(Y)) :- p(Y).\nq(a).\n"
+    eng = Engine(parse_program(text), config, step_budget=50)
+    with pytest.raises(StepBudgetExceeded, match="step budget of 50 exceeded"):
+        eng.run_query(parse_query("p(X)."))
+    assert 50 <= eng.steps < 100
+
+
+def test_step_budget_of_zero_and_of_the_exact_size():
     text = path_program(gen_edges(GraphConfig("grid", 3)))
-    for kw in ({}, {"trace": True}, {"validate": True}):
+    for budget in (0, 1, 1352):
+        eng = Engine(parse_program(text), StrategyConfig(), step_budget=budget)
+        with pytest.raises(StepBudgetExceeded, match=f"step budget of {budget} exceeded"):
+            eng.run_query(parse_query("path(X,Z)."))
+    eng = Engine(parse_program(text), StrategyConfig(), step_budget=1353)
+    eng.run_query(parse_query("path(X,Z)."))
+    assert eng.steps == 1352
+
+
+def test_watched_runs_keep_the_step_budget_verdict():
+    # tracing observes the unwatched evaluation, step for step
+    text = path_program(gen_edges(GraphConfig("grid", 3)))
+    for kw in ({}, {"trace": True}):
         eng = Engine(parse_program(text), StrategyConfig(), step_budget=1712, **kw)
         eng.run_query(parse_query("path(X,Z)."))
         assert eng.steps == 1352
@@ -298,21 +335,19 @@ NEW_SOLUTION_RE = re.compile(r"new_solution g\d+ \d+$")
 
 
 def watched_run(text, query, config):
-    """Run one cell plain, traced and validated.  All three must report the
-    same counters, steps and ordered answers, and the traced log must
-    account for every consumed and every emitted solution."""
+    """Run one cell plain and traced.  Both must report the same counters,
+    steps and ordered answers, and the traced log must account for every
+    consumed and every emitted solution."""
     runs = []
-    for kw in ({}, {"trace": True}, {"validate": True}):
-        eng = Engine(parse_program(text), config, **kw)
+    for trace in (False, True):
+        eng = Engine(parse_program(text), config, trace=trace)
         raw, stats = eng.run_query(parse_query(query))
         runs.append((eng, eng.answers(raw), stats))
-    plain, answers, stats = runs[0]
-    shown = [term_to_str(t) for t in answers]
-    for eng, got, got_stats in runs[1:]:
-        assert got_stats.as_dict() == stats.as_dict()
-        assert eng.steps == plain.steps
-        assert [term_to_str(t) for t in got] == shown
-    events = runs[1][0].events
+    (plain, answers, stats), (traced_eng, got, got_stats) = runs
+    assert got_stats.as_dict() == stats.as_dict()
+    assert traced_eng.steps == plain.steps
+    assert [term_to_str(t) for t in got] == [term_to_str(t) for t in answers]
+    events = traced_eng.events
     consumed = [e for e in events if e.startswith("consume ") and e.endswith(" via=generator")]
     assert len(consumed) == stats.nonleader_sols_consumed
     assert sum(1 for e in events if NEW_SOLUTION_RE.match(e)) == stats.answers_emitted
@@ -345,3 +380,20 @@ def test_random_graphs_bound_query(edges, variant):
     for config in ALL_CONFIGS:
         answers, _ = watched_run(text, "path(1,Z).", config)
         assert {(t.args[0], t.args[1]) for t in answers} == want
+
+
+def test_batch_plan_falls_back_to_the_general_path():
+    # g(Q,Q) is not an atomic second argument: a table-batch delivery of
+    # path(2,Z)'s answers into path(1,Z) meets it and finishes on the
+    # general path
+    text = path_program([(1, 2), (2, 1), (2, "g(Q,Q)")])
+    want = None
+    for config in ALL_CONFIGS:
+        answers, _ = watched_run(text, "path(X,Z).", config)
+        got = {term_to_str(t) for t in answers}
+        want = want or got
+        assert got == want
+    assert want == {
+        "path(1,2)", "path(1,1)", "path(2,1)", "path(2,2)",
+        "path(1,g(_G0,_G0))", "path(2,g(_G0,_G0))",
+    }

@@ -14,6 +14,8 @@ from lintab.tablespace import (
     solution_term,
     terminal_tokens,
 )
+from lintab.engine import Engine, StrategyConfig
+from lintab.reader import parse_program, parse_query
 from lintab.terms import Struct, Var, atom, functor, term_tokens
 
 
@@ -43,7 +45,7 @@ def test_new_frame_starts_ready_and_empty():
     _, f = make_frame()
     assert f.state == READY
     assert f.solution_order == []
-    assert f.is_leader and not f.new_solutions
+    assert not f.new_solutions
     assert f.looping_alternatives == {}
     assert f.first_solution_in_current_round is None
 
@@ -88,7 +90,6 @@ def test_load_all_insertion_order():
 def test_load_current_round_only():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2])
-    ts.begin_round(f)
     f.first_solution_in_current_round = 2  # ordinal of the next insert
     insert_ints(ts, f, [3])
     got = [solution_term(n).args[0] for n in drs_selection(f)]
@@ -113,11 +114,14 @@ def test_load_looping_plus_round_deduplicated():
 
 
 def test_mark_looping_alternative_idempotent_ordered():
-    _, f = make_frame()
-    TableSpace.mark_looping_alternative(f, 1)
-    TableSpace.mark_looping_alternative(f, 0)
-    TableSpace.mark_looping_alternative(f, 1)
-    assert list(f.looping_alternatives) == [1, 0]
+    # clauses 0 and 2 loop and are marked again in every DRA loop round;
+    # each stays once, in the order first marked
+    text = ":- table p/1.\np(X) :- p(X).\np(1).\np(X) :- q(X).\nq(X) :- p(X).\nq(2).\n"
+    eng = Engine(parse_program(text), StrategyConfig(dra=True))
+    _, stats = eng.run_query(parse_query("p(X)."))
+    assert stats.rounds_started == 1  # a first pass and one loop round
+    (f,) = eng.ts.frames
+    assert list(f.looping_alternatives) == [0, 2]
 
 
 def test_mark_looping_solution_idempotent():
@@ -130,11 +134,14 @@ def test_mark_looping_solution_idempotent():
 
 
 def test_begin_round_resets_marker():
-    ts, f = make_frame()
+    eng = Engine(parse_program(":- table p/1.\np(1).\np(2).\n"), StrategyConfig())
+    ts, f = make_frame(eng.ts)
     insert_ints(ts, f, [1])
     f.first_solution_in_current_round = 0
-    ts.begin_round(f)
+    f.next_alternative = 2
+    eng._begin_round(f, first_round=False)
     assert f.first_solution_in_current_round is None
+    assert (f.next_alternative, f.alt_seq) == (0, (0, 1))
 
 
 def test_completed_table_keeps_its_answers():
@@ -176,14 +183,14 @@ def test_dump_golden():
     ts.solution_check_insert(s("a", 1), fa)
     ts.solution_check_insert(s("a", 2), fa)
     ts.mark_looping_solution(fa, fa.solution_order[1])
-    TableSpace.mark_looping_alternative(fb, 0)
+    fb.looping_alternatives.setdefault(0)
     fa.set_state(EVALUATING)
     fa.set_state(COMPLETE)
     assert ts.dump() == (
-        "== a(_G0) state=complete leader=yes\n"
+        "== a(_G0) state=complete\n"
         "   sol 0: a(1)\n"
         "   sol 1: a(2) *loop\n"
-        "== b(_G0) state=ready leader=yes\n"
+        "== b(_G0) state=ready\n"
         "   looping_alts: [0]\n"
     )
 
