@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .reader import Program
 from .tablespace import (
@@ -83,14 +83,7 @@ class EvalStats:
     answers_emitted: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "alts_explored": self.alts_explored,
-            "nonleader_sols_consumed": self.nonleader_sols_consumed,
-            "sld_calls": dict(self.sld_calls),
-            "rounds_started": self.rounds_started,
-            "followers_created": self.followers_created,
-            "answers_emitted": self.answers_emitted,
-        }
+        return asdict(self)
 
 
 # continuation markers -------------------------------------------------
@@ -144,9 +137,9 @@ class _Pred:
         ):
             self.kind = _P_FACTS2
             self.facts = [(c.head.args[0], c.head.args[1]) for c in clauses]
-            self.index = {}
-            for a0, a1 in self.facts:
-                self.index.setdefault(a0, []).append(a1)
+            self.index = {}  # first argument -> its (a0, a1) pairs
+            for pair in self.facts:
+                self.index.setdefault(pair[0], []).append(pair)
         else:
             self.kind = _P_GENERAL
 
@@ -164,7 +157,7 @@ K_CONSUMER = 3
 K_FOLLOWER = 4
 
 PH_CLAUSES = 0
-PH_CONSUME = 1  # clauses spent: the choice point delivers its answers
+PH_CONSUME = 1  # set by _start_delivery: the choice point delivers its answers
 
 # delivery plans
 PLAN_GENERAL = 0
@@ -306,11 +299,6 @@ class Engine:
             if f.state != COMPLETE:
                 raise TablingInvariantError(f"frame {f.subgoal_str()} not complete at exit")
 
-    # -- events -----------------------------------------------------------
-
-    def _ev(self, msg: str) -> None:
-        self.events.append(msg)
-
     # -- the machine ------------------------------------------------------
 
     def _run(self, cont) -> None:
@@ -348,19 +336,18 @@ class Engine:
                     sc[pred.key] = sc.get(pred.key, 0) + 1
                     if kind == _P_FACTS2:
                         a0 = deref(entry.args[0])
-                        a1 = deref(entry.args[1])
                         if type(a0) is Var:
                             facts = pred.facts
                         else:
-                            vals = pred.index.get(a0)
-                            if vals is None:
+                            facts = pred.index.get(a0)
+                            if facts is None:
                                 cont = None
                                 break
-                            facts = vals  # list of second args only
+                            a0 = None  # bound: the index already matched it
                         cp = _CP(K_FACTS, len(trail), rest)
                         cp.facts = facts
                         cp.c0 = a0
-                        cp.c1 = a1
+                        cp.c1 = deref(entry.args[1])
                         cps.append(cp)
                         cont = None
                         break
@@ -397,55 +384,37 @@ class Engine:
                     cont = self._retry_facts(cp)
                 elif k == K_INTERIOR:
                     cont = self._retry_interior(cp)
-                elif k == K_CONSUMER:
-                    cont = self._deliver(cp)
-                elif k == K_GENERATOR:
-                    cont = self._retry_generator(cp)
                 else:
-                    cont = self._retry_follower(cp)
+                    cont = self._retry_tabled(cp)
 
     # -- non-tabled calls --------------------------------------------------
 
     def _retry_facts(self, cp):
         trail = self.trail
-        trail.undo_to(cp.mark)
+        mark = cp.mark
+        trail.undo_to(mark)
         facts = cp.facts
         i = cp.idx
         n = len(facts)
-        c0 = cp.c0
+        c0 = cp.c0  # None when the call's first argument is bound
         c1 = cp.c1
         self.steps += 1
-        if type(c0) is Var:
-            while i < n:
-                f0, f1 = facts[i]
-                i += 1
+        while i < n:
+            f0, f1 = facts[i]
+            i += 1
+            if c0 is not None:
                 c0.ref = f0
                 trail.append(c0)
-                x = deref(c1)
-                if type(x) is Var:
-                    x.ref = f1
-                    trail.append(x)
-                    cp.idx = i
-                    return cp.cont
-                if x is f1 or x == f1:
-                    cp.idx = i
-                    return cp.cont
-                trail.undo_to(cp.mark)
-        else:
-            # facts is the list of second args for the bound first arg
-            while i < n:
-                f1 = facts[i]
-                i += 1
-                x = deref(c1)
-                if type(x) is Var:
-                    x.ref = f1
-                    trail.append(x)
-                    cp.idx = i
-                    return cp.cont
-                if x is f1 or x == f1:
-                    cp.idx = i
-                    return cp.cont
-                trail.undo_to(cp.mark)
+            x = deref(c1)
+            if type(x) is Var:
+                x.ref = f1
+                trail.append(x)
+                cp.idx = i
+                return cp.cont
+            if x is f1 or x == f1:
+                cp.idx = i
+                return cp.cont
+            trail.undo_to(mark)
         self.cps.pop()
         return None
 
@@ -453,88 +422,64 @@ class Engine:
         trail = self.trail
         clauses = cp.clauses
         n = len(clauses)
-        goal = cp.call
         while cp.idx < n:
             trail.undo_to(cp.mark)
-            head, body = clauses[cp.idx]
+            clause = clauses[cp.idx]
             cp.idx += 1
             self.steps += 1
-            mapping = {}
-            if not unify(goal, fresh_copy(head, mapping), trail):
-                continue
-            cont = cp.cont
-            for g in reversed(body):
-                cont = (fresh_copy(g, mapping), cont)
-            return cont
+            cont = self._enter(cp.call, clause, cp.cont)
+            if cont is not None:
+                return cont
         trail.undo_to(cp.mark)
         self.cps.pop()
         return None
 
+    def _enter(self, call, clause, cont):
+        """Unify ``call`` with a fresh copy of ``clause``; return its body
+        in front of ``cont``, or None when the head does not unify."""
+        head, body = clause
+        mapping = {}
+        if not unify(call, fresh_copy(head, mapping), self.trail):
+            return None
+        for g in reversed(body):
+            cont = (fresh_copy(g, mapping), cont)
+        return cont
+
     # -- tabled calls --------------------------------------------------------
 
     def _tabled_call(self, goal, rest):
-        ts = self.ts
-        frame, _existed = ts.subgoal_check_insert(goal)
+        frame, _existed = self.ts.subgoal_check_insert(goal)
         state = frame.state
-        trace = self.events is not None
-
-        if state == READY:
-            frame.set_state(EVALUATING)
-            self._install_generator(frame, goal, rest, first_round=True)
-            if trace:
-                self._ev(f"call g{frame.fid} generator")
-            return None
-
-        if state == COMPLETE:
-            cp = _CP(K_CONSUMER, len(self.trail), rest)
-            cp.frame = frame
-            cp.call = goal
-            self._start_delivery(cp, "completed", frame.solution_order)
-            self.cps.append(cp)
-            if trace:
-                self._ev(f"call g{frame.fid} completed")
-            return None
-
-        if state == LOOP_READY:
-            frame.set_state(LOOP_EVALUATING)
-            self._install_generator(frame, goal, rest, first_round=False)
-            if trace:
-                self._ev(f"call g{frame.fid} generator")
-            return None
-
-        # evaluating / loop_evaluating: a repeated call
-        self._record_event(frame.stack_depth)
-        cfg = self.config
-        if cfg.dre and frame.next_alternative < len(frame.alt_seq):
-            self.stats.followers_created += 1
-            cp = _CP(K_FOLLOWER, len(self.trail), rest)
-            cp.frame = frame
-            cp.call = goal
+        if state == READY or state == LOOP_READY:
+            first_round = state == READY
+            frame.set_state(EVALUATING if first_round else LOOP_EVALUATING)
+            gs = self.gen_stack
+            frame.stack_depth = len(gs)
+            gs.append(frame)
+            frame.push_stamp = self.clock
+            self._begin_round(frame, first_round)
+            kind, role = K_GENERATOR, "generator"
+        elif state == COMPLETE:
+            kind, role = K_CONSUMER, "completed"
+        else:
+            # evaluating / loop_evaluating: a repeated call
+            self._record_event(frame.stack_depth)
+            if self.config.dre and frame.next_alternative < len(frame.alt_seq):
+                self.stats.followers_created += 1
+                kind, role = K_FOLLOWER, "follower"
+            else:
+                kind, role = K_CONSUMER, "consumer"
+        cp = _CP(kind, len(self.trail), rest)
+        cp.frame = frame
+        cp.call = goal
+        if kind == K_CONSUMER:
+            self._start_delivery(cp, role, frame.solution_order)
+        else:
             cp.ns_cell = (_NewSol(frame, goal), None)
-            self.cps.append(cp)
-            if trace:
-                self._ev(f"call g{frame.fid} follower")
-            return None
-        cp = _CP(K_CONSUMER, len(self.trail), rest)
-        cp.frame = frame
-        cp.call = goal
-        self._start_delivery(cp, "consumer", frame.solution_order)
         self.cps.append(cp)
-        if trace:
-            self._ev(f"call g{frame.fid} consumer")
+        if self.events is not None:
+            self.events.append(f"call g{frame.fid} {role}")
         return None
-
-    def _install_generator(self, frame, goal, rest, first_round: bool):
-        gs = self.gen_stack
-        frame.stack_depth = len(gs)
-        gs.append(frame)
-        frame.push_stamp = self.clock
-        self._begin_round(frame, first_round)
-        cp = _CP(K_GENERATOR, len(self.trail), rest)
-        cp.frame = frame
-        cp.call = goal
-        cp.ns_cell = (_NewSol(frame, goal), None)
-        self.cps.append(cp)
 
     def _new_solution(self, entry) -> None:
         frame = entry.frame
@@ -547,11 +492,47 @@ class Engine:
             if self.config.drs and frame.first_solution_in_current_round is None:
                 frame.first_solution_in_current_round = len(frame.solution_order) - 1
             if self.events is not None:
-                self._ev(f"new_solution g{frame.fid} {len(frame.solution_order) - 1}")
+                self.events.append(f"new_solution g{frame.fid} {len(frame.solution_order) - 1}")
         elif self.events is not None:
-            self._ev(f"new_solution g{frame.fid} dup")
+            self.events.append(f"new_solution g{frame.fid} dup")
 
-    # -- generator: alternatives, fix-point, restart, completion ------------
+    # -- tabled choice points: clauses, fix-point, restart, completion ------
+
+    def _retry_tabled(self, cp):
+        """Retry a generator, follower or consumer: enter the frame's next
+        clause while the choice point is in its clause phase, then deliver."""
+        frame = cp.frame
+        while cp.phase == PH_CLAUSES:
+            cont = self._try_alternatives(cp)
+            if cont is not None:
+                return cont
+            if cp.kind == K_FOLLOWER:
+                # followers always consume everything
+                self._start_delivery(cp, "follower", frame.solution_order)
+                continue
+            # the generator's cursor is exhausted: fix-point check
+            md = self._min_event_depth_since(frame.push_stamp)
+            if md is not None and md < frame.stack_depth:
+                if self.events is not None:
+                    self.events.append(f"fixpoint g{frame.fid} propagate")
+                # nothing inserts into this table while its generator consumes
+                # (see _deliver), so the DRS selection is made once, here
+                cp.table_len = len(frame.solution_order)
+                sols = drs_selection(frame) if self.config.drs else frame.solution_order
+                self._start_delivery(cp, "generator", sols)
+            # md == depth means a repeated call targeted this frame: the
+            # subgoal depends on itself, so a round that grew any table in
+            # the component forces another pass.  Without a self-dependency
+            # the first pass is already final.
+            elif md == frame.stack_depth and (
+                frame.new_solutions
+                or any(m.new_solutions for m in self.gen_stack[frame.stack_depth + 1 :])
+            ):
+                self._restart_round(frame)
+            else:
+                self._complete_scc(frame)
+                self._start_delivery(cp, "completed", frame.solution_order)
+        return self._deliver(cp)
 
     def _close_alt_window(self, cp, frame) -> None:
         if cp.alt_open is not None:
@@ -561,7 +542,7 @@ class Engine:
                     frame.looping_alternatives.setdefault(cp.cur_clause)
             cp.alt_open = None
 
-    def _try_alternatives(self, cp, role: str):
+    def _try_alternatives(self, cp):
         """Enter the frame's next untried clause that unifies with the call
         and return its body continuation; None once the shared cursor is
         spent or, for a follower, the pioneer has finished."""
@@ -571,76 +552,36 @@ class Engine:
         # the alternative that just finished is loop-marked like any other,
         # whether the pioneer or a follower ran it
         self._close_alt_window(cp, frame)
-        pred = self.preds[frame.functor]
+        clauses = self.preds[frame.functor].clauses
         seq = frame.alt_seq
         # a frame off the generator stack has no pioneer left to follow
         while frame.stack_depth is not None and frame.next_alternative < len(seq):
             ci = seq[frame.next_alternative]
             frame.next_alternative += 1
             trail.undo_to(cp.mark)
-            head, body = pred.clauses[ci]
-            mapping = {}
-            if not unify(cp.call, fresh_copy(head, mapping), trail):
+            cont = self._enter(cp.call, clauses[ci], cp.ns_cell)
+            if cont is None:
                 continue
             self.stats.alts_explored += 1
             self.steps += 1
-            self._note_role(frame, ci, role)
+            self._note_role(frame, ci, "pioneer" if cp.kind == K_GENERATOR else "follower")
             if dra and frame.state == LOOP_EVALUATING and ci not in frame.looping_alternatives:
                 raise TablingInvariantError(f"loop round ran non-looping clause {ci}")
             if self.events is not None:
-                self._ev(f"alt g{frame.fid} {ci}")
+                self.events.append(f"alt g{frame.fid} {ci}")
             cp.cur_clause = ci
             if dra:
                 cp.alt_open = self.clock
-            cont = cp.ns_cell
-            for g in reversed(body):
-                cont = (fresh_copy(g, mapping), cont)
             return cont
         trail.undo_to(cp.mark)
         return None
 
-    def _retry_generator(self, cp):
-        if cp.phase != PH_CLAUSES:
-            return self._deliver(cp)
-        frame = cp.frame
-        while True:
-            cont = self._try_alternatives(cp, "pioneer")
-            if cont is not None:
-                return cont
-            # cursor exhausted: fix-point check
-            md = self._min_event_depth_since(frame.push_stamp)
-            if md is None or md >= frame.stack_depth:
-                # md == depth means a repeated call targeted this frame:
-                # the subgoal depends on itself, so a round that grew any
-                # table in the component forces another pass.  Without a
-                # self-dependency the first pass is already final.
-                if md == frame.stack_depth and (
-                    frame.new_solutions
-                    or any(
-                        m.new_solutions
-                        for m in self.gen_stack[frame.stack_depth + 1 :]
-                    )
-                ):
-                    self._restart_round(cp, frame)
-                    continue
-                self._complete_scc(cp, frame)
-                return self._deliver(cp)
-            if self.events is not None:
-                self._ev(f"fixpoint g{frame.fid} propagate")
-            # nothing inserts into this table while its generator consumes
-            # (see _deliver), so the DRS selection is made once, here
-            cp.phase = PH_CONSUME
-            cp.table_len = len(frame.solution_order)
-            sols = drs_selection(frame) if self.config.drs else frame.solution_order
-            self._start_delivery(cp, "generator", sols)
-            return self._deliver(cp)
-
-    def _restart_round(self, cp, frame) -> None:
+    def _restart_round(self, frame) -> None:
         stats = self.stats
         stats.rounds_started += 1
         if self.events is not None:
-            self._ev(f"round_start g{frame.fid} {stats.rounds_started}")
-            self._ev(f"fixpoint g{frame.fid} restart")
+            self.events.append(f"round_start g{frame.fid} {stats.rounds_started}")
+            self.events.append(f"fixpoint g{frame.fid} restart")
         frame.new_solutions = False
         gs = self.gen_stack
         d = frame.stack_depth
@@ -665,7 +606,7 @@ class Engine:
         frame.next_alternative = 0
         self._roles[frame.fid] = {}
 
-    def _complete_scc(self, cp, frame) -> None:
+    def _complete_scc(self, frame) -> None:
         trace = self.events is not None
         gs = self.gen_stack
         d = frame.stack_depth
@@ -675,15 +616,13 @@ class Engine:
             m.set_state(COMPLETE)
             m.stack_depth = None
             if trace:
-                self._ev(f"complete g{m.fid}")
+                self.events.append(f"complete g{m.fid}")
         frame.set_state(COMPLETE)
         frame.stack_depth = None
         del gs[d:]
         if trace:
-            self._ev(f"fixpoint g{frame.fid} complete")
-            self._ev(f"complete g{frame.fid}")
-        cp.phase = PH_CONSUME
-        self._start_delivery(cp, "completed", frame.solution_order)
+            self.events.append(f"fixpoint g{frame.fid} complete")
+            self.events.append(f"complete g{frame.fid}")
 
     def _note_role(self, frame, clause, role) -> None:
         m = self._roles[frame.fid]
@@ -694,21 +633,10 @@ class Engine:
             )
         m[clause] = role
 
-    # -- followers -----------------------------------------------------------
-
-    def _retry_follower(self, cp):
-        if cp.phase == PH_CLAUSES:
-            cont = self._try_alternatives(cp, "follower")
-            if cont is not None:
-                return cont
-            # followers always consume everything
-            cp.phase = PH_CONSUME
-            self._start_delivery(cp, "follower", cp.frame.solution_order)
-        return self._deliver(cp)
-
     # -- deliveries ------------------------------------------------------------
 
     def _start_delivery(self, cp, via: str, sols: list) -> None:
+        cp.phase = PH_CONSUME
         cp.via = via
         cp.sols = sols
         cp.idx = 0
@@ -826,8 +754,8 @@ class Engine:
         if self.events is not None:
             for node in sols[start:i]:
                 o = pch[node.token].ordinal
-                self._ev(f"consume g{src.fid} {node.ordinal} via={cp.via}")
-                self._ev(f"new_solution g{parent.fid} {o if o >= p0 else 'dup'}")
+                self.events.append(f"consume g{src.fid} {node.ordinal} via={cp.via}")
+                self.events.append(f"new_solution g{parent.fid} {o if o >= p0 else 'dup'}")
 
     def _burst_collect(self, cp) -> None:
         take = cp.sols[cp.idx :]
@@ -835,7 +763,7 @@ class Engine:
         self.raw_answers.extend(take)
         if self.events is not None:
             for node in take:
-                self._ev(f"consume g{cp.frame.fid} {node.ordinal} via={cp.via}")
+                self.events.append(f"consume g{cp.frame.fid} {node.ordinal} via={cp.via}")
 
     def _deliver_general(self, cp):
         frame = cp.frame
@@ -860,7 +788,7 @@ class Engine:
                 f"answer {node.ordinal} of g{frame.fid} does not unify with its call"
             )
         if self.events is not None:
-            self._ev(f"consume g{frame.fid} {node.ordinal} via={cp.via}")
+            self.events.append(f"consume g{frame.fid} {node.ordinal} via={cp.via}")
         if drs_marks:
             cp.sol_open = self.clock
             cp.cur_sol = node

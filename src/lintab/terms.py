@@ -69,9 +69,6 @@ class Struct:
         return term_to_str(self)
 
 
-Term = object  # int | Functor | Var | Struct; kept loose for speed
-
-
 class Trail(list):
     """Bindings made since a mark, undone in LIFO order."""
 

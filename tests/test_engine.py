@@ -177,6 +177,29 @@ def test_conjunction_query():
     assert sorted(a.args[0].args[0] for a in answers) == [1, 2]
 
 
+EDGES = "edge(1,2).\nedge(2,3).\nedge(1,3).\nedge(3,1).\nedge(2,2).\n"
+
+
+@pytest.mark.parametrize("query, want, steps", [
+    ("edge(X,Y).", ["edge(1,2)", "edge(2,3)", "edge(1,3)", "edge(3,1)", "edge(2,2)"], 7),
+    ("edge(1,Y).", ["edge(1,2)", "edge(1,3)"], 4),
+    ("edge(X,2).", ["edge(1,2)", "edge(2,2)"], 4),
+    ("edge(1,2).", ["edge(1,2)"], 3),
+    ("edge(1,3).", ["edge(1,3)"], 3),
+    ("edge(X,X).", ["edge(2,2)"], 3),
+    ("edge(3,3).", [], 2),
+    ("edge(9,Y).", [], 1),  # a first argument the index does not hold
+])
+def test_fact_calls_every_binding_pattern(query, want, steps):
+    # a non-tabled fact predicate called directly, under each binding of
+    # its two arguments: answers in clause order, one call, and one step
+    # for the call plus one per retry of its choice point
+    eng, answers, stats = run(EDGES, query)
+    assert [term_to_str(a) for a in answers] == want
+    assert eng.steps == steps
+    assert stats.sld_calls == {"edge/2": 1}
+
+
 def test_step_budget_exceeded():
     text = path_program(gen_edges(GraphConfig("cycle", 30)))
     eng = Engine(parse_program(text), StrategyConfig(), step_budget=200)
@@ -397,3 +420,32 @@ def test_batch_plan_falls_back_to_the_general_path():
         "path(1,2)", "path(1,1)", "path(2,1)", "path(2,2)",
         "path(1,g(_G0,_G0))", "path(2,g(_G0,_G0))",
     }
+
+
+# -- known faults ---------------------------------------------------------------
+
+DRS_TWO_TABLES = """
+:- table p/2.
+:- table q/2.
+p(X,Y) :- q(X,Z), p(Z,Y).
+p(X,Y) :- e(X,Y).
+q(X,Y) :- p(X,Y).
+q(X,Y) :- p(Y,X).
+e(1,2).
+"""
+DRS_CONFIGS = [c for c in ALL_CONFIGS if c.drs and not c.dre]
+
+
+@pytest.mark.parametrize("config", [c for c in ALL_CONFIGS if c not in DRS_CONFIGS],
+                         ids=lambda c: c.label)
+def test_double_recursion_through_a_second_table(config):
+    _, answers, _ = run(DRS_TWO_TABLES, "p(X,1).", config)
+    assert answers == []
+
+
+@pytest.mark.xfail(strict=True, raises=TablingInvariantError,
+                   reason="DRS leaves p(2,1) incomplete at exit (ROADMAP item 6)")
+@pytest.mark.parametrize("config", DRS_CONFIGS, ids=lambda c: c.label)
+def test_drs_double_recursion_through_a_second_table(config):
+    _, answers, _ = run(DRS_TWO_TABLES, "p(X,1).", config)
+    assert answers == []
