@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Time the reader and engine set-up, and one `lintab run`, as JSON.
+
+For the pyramid-80, pyramid-200 and grid-40 programs of ``lintab.bench``
+(the tabled path/2 program plus its edge/2 facts) it prints the minimum
+over REPS runs of ``parse_program`` and of ``Engine(program)``, and the
+minimum over REPS runs of one in-process ``lintab run`` on pyramid-80 with
+the bound query ``path(2450,Z).`` (row 70, column 35, the row the cli-run
+workload of perfbench asks from).  The collector runs untimed before each
+timed run.  The script takes no options; run it on two checkouts to
+compare them:
+
+    PYTHONPATH=src python3 scripts/bench_reader.py
+"""
+
+import contextlib
+import gc
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+import time
+
+from lintab import cli
+from lintab.bench import GraphConfig, edge_facts, gen_edges, make_path_program
+from lintab.engine import Engine
+from lintab.reader import parse_program
+
+REPS = 7
+GRAPHS = (("pyramid", 80), ("pyramid", 200), ("grid", 40))
+CLI_QUERY = "path(2450,Z)."
+
+
+def program_text(shape: str, depth: int) -> str:
+    return make_path_program() + edge_facts(gen_edges(GraphConfig(shape, depth)))
+
+
+def min_time(fn) -> float:
+    best = float("inf")
+    for _ in range(REPS):
+        gc.collect()
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return round(best, 6)
+
+
+def cli_run_s(text: str) -> float:
+    fd, path = tempfile.mkstemp(suffix=".pl")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ["run", "--program", path, "--query", CLI_QUERY]
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"lintab run {CLI_QUERY} failed")
+
+        return min_time(run)
+    finally:
+        os.unlink(path)
+
+
+def main() -> int:
+    cells = {}
+    for shape, depth in GRAPHS:
+        text = program_text(shape, depth)
+        program = parse_program(text)
+        cells[f"{shape}-{depth}"] = {
+            "clauses": sum(len(cs) for cs in program.predicates.values()),
+            "parse_s": min_time(lambda: parse_program(text)),
+            "engine_init_s": min_time(lambda: Engine(program)),
+        }
+    out = {
+        "python": platform.python_version(),
+        "reps": REPS,
+        "cells": cells,
+        "cli_run_pyramid-80_s": cli_run_s(program_text("pyramid", 80)),
+    }
+    json.dump(out, sys.stdout, indent=2)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

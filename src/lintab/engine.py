@@ -117,8 +117,8 @@ class _Pred:
     def __init__(self, f: Functor, clauses, tabled: bool):
         self.functor = f
         self.key = f"{f.name}/{f.arity}"
-        self.clauses = [(c.head, c.body) for c in clauses]
-        self.all_alts = tuple(range(len(clauses)))
+        self.clauses = None  # (head, body) pairs, for the kinds that resolve clauses
+        self.all_alts = None
         self.index = None
         self.facts = None
         if tabled:
@@ -142,6 +142,9 @@ class _Pred:
                 self.index.setdefault(pair[0], []).append(pair)
         else:
             self.kind = _P_GENERAL
+        if self.kind in (_P_TABLED, _P_GENERAL):
+            self.clauses = [(c.head, c.body) for c in clauses]
+            self.all_alts = tuple(range(len(clauses)))
 
 
 def _ground_atomic(t) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .terms import Functor, Struct, Var, functor, term_to_str
 
@@ -38,123 +39,122 @@ class Program:
         return self.predicates.get(f, [])
 
 
+_QUOTED = r"'(?:\\.|[^'\\])*'"
+
+# Layout and comments, then one token: punctuation, an integer, a name, the
+# neck, a quoted atom whose closing quote is optional (so the scan never
+# backtracks) or any other character; _valid rejects the last kind and an
+# unterminated quote.  The token is empty only at the end of the text.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<neck>:-)
-      | (?P<punct>[(),./])
-      | (?P<int>\d+)
-      | (?P<var>[A-Z_][A-Za-z0-9_]*)
-      | (?P<atom>[a-z][A-Za-z0-9_]*)
-      | (?P<qatom>'(?:\\.|[^'\\])*')
-    """,
+    r"""\s*(?:%[^\n]*\s*)*
+      ( [(),./] | \d+ | [A-Za-z_][A-Za-z0-9_]* | :- | """ + _QUOTED + r"""? | \S )?""",
     re.VERBOSE,
 )
 
 
-def _tokenize(text: str) -> list[tuple]:
-    toks = []
-    pos = 0
-    line = 1
-    bol = 0  # offset of current line start
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
-        kind = m.lastgroup
-        val = m.group()
-        col = pos - bol + 1
-        if kind == "ws" or kind == "comment":
-            nl = val.count("\n")
-            if nl:
-                line += nl
-                bol = pos + val.rindex("\n") + 1
-        elif kind == "punct":
-            toks.append((val, val, line, col))
-        elif kind == "int":
-            toks.append(("int", int(val), line, col))
-        elif kind == "qatom":
-            body = val[1:-1].replace("\\'", "'").replace("\\\\", "\\")
-            toks.append(("atom", body, line, col))
-        else:
-            toks.append((kind, val, line, col))
-        pos = m.end()
-    toks.append(("eof", None, line, n - bol + 1))
-    return toks
+def _valid(tok: str) -> bool:
+    if tok[:1] == "'":
+        return re.fullmatch(_QUOTED, tok) is not None
+    # every token of two or more characters matched a rule; so did '' (the end)
+    return len(tok) != 1 or tok.isdecimal() or tok.isascii() and (tok.isalpha() or tok in "(),./_")
+
+
+def _unquote(tok: str) -> str:
+    return tok[1:-1].replace("\\'", "'").replace("\\\\", "\\")
+
+
+def _position(text: str, k: int) -> tuple[int, int]:
+    """Line and column of token ``k``: tokens carry no position, so the
+    text is scanned again up to the token, only when an error needs it."""
+    m = next(islice(_TOKEN_RE.finditer(text), k, None))
+    off = m.end() - len(m.group(1) or "")
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = toks = _TOKEN_RE.findall(text)
         self.i = 0
+        # a bad character anywhere is reported before any syntax error
+        bad = [t for t in set(toks) if not _valid(t)]
+        if bad:
+            k = min(map(toks.index, bad))
+            self.fail(f"unexpected character {toks[k][0]!r}", k)
 
-    def peek(self) -> tuple:
-        return self.toks[self.i]
+    def fail(self, msg: str, k: int):
+        raise ParseError(msg, *_position(self.text, k))
 
-    def next(self) -> tuple:
+    def next(self) -> str:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, kind: str, what: str) -> tuple:
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {what}", t[2], t[3])
-        return t
+    def expect(self, tok: str, what: str) -> None:
+        if self.next() != tok:
+            self.fail(f"expected {what}", self.i - 1)
 
-    def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t[2], t[3])
+    def name(self, what: str) -> str:
+        t = self.next()
+        if t[:1] == "'":
+            return _unquote(t)
+        if not t[:1].islower():
+            self.fail(f"expected {what}", self.i - 1)
+        return t
 
     # one namespace of variables per clause / query
     def term(self, varmap: dict) -> object:
+        toks = self.toks
+        i = self.i
         # compounds still open, (name, args so far), innermost last: an
         # explicit stack, so any nesting depth parses
         stack: list = []
         while True:
-            kind, val, line, col = self.next()
-            if kind == "int":
-                t = val
-            elif kind == "var":
-                if val == "_":
-                    t = Var()
-                else:
-                    t = varmap.get(val)
-                    if t is None:
-                        t = varmap[val] = Var(val)
-            elif kind == "atom":
-                if self.peek()[0] == "(":
-                    self.next()
-                    stack.append((val, []))
+            tok = toks[i]
+            i += 1
+            c = tok[:1]
+            if c.isdecimal():
+                t = int(tok)
+            elif c.isupper() or c == "_":
+                t = Var() if tok == "_" else varmap.get(tok)
+                if t is None:
+                    t = varmap[tok] = Var(tok)
+            elif c.islower() or c == "'":
+                name = tok if c != "'" else _unquote(tok)
+                if toks[i] == "(":
+                    i += 1
+                    stack.append((name, []))
                     continue
-                t = functor(val, 0)
+                t = functor(name, 0)
             else:
-                raise ParseError("expected a term", line, col)
+                self.fail("expected a term", i - 1)
             # t is complete: add it to the innermost compound, closing
             # every compound it completes
             while stack:
                 args = stack[-1][1]
                 args.append(t)
-                if self.peek()[0] == ",":
-                    self.next()
+                tok = toks[i]
+                i += 1
+                if tok == ",":
                     break
-                self.expect(")", "')'")
+                if tok != ")":
+                    self.fail("expected ')'", i - 1)
                 name, _ = stack.pop()
                 t = Struct(functor(name, len(args)), tuple(args))
             else:
+                self.i = i
                 return t
 
     def callable_term(self, varmap: dict, role: str) -> object:
-        t0 = self.peek()
+        k = self.i
         t = self.term(varmap)
         if not isinstance(t, (Functor, Struct)):
-            raise ParseError(f"{role} must be an atom or compound term", t0[2], t0[3])
+            self.fail(f"{role} must be an atom or compound term", k)
         return t
 
     def body(self, varmap: dict) -> tuple:
         goals = [self.callable_term(varmap, "body goal")]
-        while self.peek()[0] == ",":
+        while self.toks[self.i] == ",":
             self.next()
             goals.append(self.callable_term(varmap, "body goal"))
         return tuple(goals)
@@ -168,30 +168,31 @@ def parse_program(text: str) -> Program:
     p = _Parser(text)
     prog = Program()
     body_preds: list[Functor] = []
-    while p.peek()[0] != "eof":
-        if p.peek()[0] == "neck":
+    while p.toks[p.i]:  # '' is the end of the text
+        if p.toks[p.i] == ":-":
             p.next()
-            kw = p.expect("atom", "a directive name")
-            if kw[1] != "table":
-                raise ParseError(f"unsupported directive '{kw[1]}'", kw[2], kw[3])
-            name = p.expect("atom", "a predicate name")
+            kw = p.i
+            name = p.name("a directive name")
+            if name != "table":
+                p.fail(f"unsupported directive '{name}'", kw)
+            name = p.name("a predicate name")
             p.expect("/", "'/'")
-            arity = p.expect("int", "an arity")
+            arity = p.next()
+            if not arity[:1].isdecimal():
+                p.fail("expected an arity", p.i - 1)
             p.expect(".", "'.'")
-            prog.tabled.add(functor(name[1], arity[1]))
+            prog.tabled.add(functor(name, int(arity)))
             continue
         varmap: dict = {}
         head = p.callable_term(varmap, "clause head")
-        kind = p.peek()[0]
-        if kind == "neck":
-            p.next()
+        tok = p.next()
+        if tok == ":-":
             goals = p.body(varmap)
             p.expect(".", "'.'")
-        elif kind == ".":
-            p.next()
+        elif tok == ".":
             goals = ()
         else:
-            p.fail("expected ':-' or '.'")
+            p.fail("expected ':-' or '.'", p.i - 1)
         f = _goal_functor(head)
         lst = prog.predicates.setdefault(f, [])
         lst.append(Clause(head, goals, len(lst)))
@@ -209,13 +210,12 @@ def parse_query(text: str, varmap: dict | None = None) -> list:
     capture the query's variable names (name -> Var), e.g. for printing
     answers under their source names."""
     p = _Parser(text)
-    if p.peek()[0] == "eof":
-        t = p.peek()
-        raise ParseError("empty query", t[2], t[3])
+    if not p.toks[0]:
+        p.fail("empty query", 0)
     goals = list(p.body(varmap if varmap is not None else {}))
     p.expect(".", "'.'")
-    if p.peek()[0] != "eof":
-        p.fail("trailing text after query")
+    if p.toks[p.i]:
+        p.fail("trailing text after query", p.i)
     return goals
 
 

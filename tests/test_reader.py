@@ -73,6 +73,63 @@ def test_unexpected_character_position():
         assert (e.line, e.col) == (3, 3)
 
 
+# (reader, text, message, line, col) for malformed inputs
+ERROR_TABLE = [
+    ("program", "p(a).\n\nq(#).", "unexpected character '#'", 3, 3),
+    ("program", "p(²).", "unexpected character '²'", 1, 3),
+    ("program", "p(é).", "unexpected character 'é'", 1, 3),
+    ("program", "p(a) : q(b).", "unexpected character ':'", 1, 6),
+    ("program", "p(a).\np('abc).", "unexpected character \"'\"", 2, 3),
+    ("program", "p('abc).\nq(#).", "unexpected character \"'\"", 1, 3),
+    ("program", "p('a\\\nb').", "unexpected character \"'\"", 1, 3),
+    ("program", "p(a) q.\nr(#).", "unexpected character '#'", 2, 3),
+    ("program", ":- dynamic p/1.", "unsupported directive 'dynamic'", 1, 4),
+    ("program", ":- 'dy na' p/1.", "unsupported directive 'dy na'", 1, 4),
+    ("program", ":- table 7/2.", "expected a predicate name", 1, 10),
+    ("program", ":- table p 2.", "expected '/'", 1, 12),
+    ("program", ":- table p/x.", "expected an arity", 1, 12),
+    ("program", ":- table p/2", "expected '.'", 1, 13),
+    ("program", "p(a) :-", "expected a term", 1, 8),
+    ("program", "p(a", "expected ')'", 1, 4),
+    ("program", "7.", "clause head must be an atom or compound term", 1, 1),
+    ("program", "X :- p(a).", "clause head must be an atom or compound term", 1, 1),
+    ("program", "p(a) :- 7.", "body goal must be an atom or compound term", 1, 9),
+    ("program", "p(a) q(b).", "expected ':-' or '.'", 1, 6),
+    ("program", "p(a,).", "expected a term", 1, 5),
+    ("program", "p(a b).", "expected ')'", 1, 5),
+    ("program", "p(a).\r\nq(b) :- ,\r\n", "expected a term", 2, 9),
+    ("program", "p(a).\nq(b) :- r % no newline", "expected '.'", 2, 23),
+    ("program", "p(1) :- q(2, (3)).", "expected a term", 1, 14),
+    ("program", "% only a comment\n  p(X) :- q(X) ; r(X).", "unexpected character ';'", 2, 16),
+    ("query", "", "empty query", 1, 1),
+    ("query", "   % nothing\n", "empty query", 2, 1),
+    ("query", "path(X,Y)", "expected '.'", 1, 10),
+    ("query", "p(X). q(Y).", "trailing text after query", 1, 7),
+    ("query", "p(X) :- q(X).", "expected '.'", 1, 6),
+    ("query", "p(#X).", "unexpected character '#'", 1, 3),
+]
+
+
+@pytest.mark.parametrize("reader,text,msg,line,col", ERROR_TABLE)
+def test_error_table(reader, text, msg, line, col):
+    parse = parse_program if reader == "program" else parse_query
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (str(info.value), info.value.line, info.value.col) == (f"line {line}, col {col}: {msg}", line, col)
+
+
+def test_line_counts_newlines_inside_quoted_atoms():
+    with pytest.raises(ParseError) as info:
+        parse_program("p('a\nb').\nq(#).")
+    assert (info.value.line, info.value.col) == (3, 3)
+
+
+def test_unicode_decimal_digit_is_an_integer():
+    # \d takes any decimal digit; '²' is no decimal digit (see ERROR_TABLE)
+    (c,) = parse_program("p(٣).").clauses(functor("p", 1))
+    assert c.head.args == (3,)
+
+
 def test_duplicate_table_directive_idempotent():
     prog = parse_program(":- table p/1.\n:- table p/1.\np(1).")
     assert prog.tabled == {functor("p", 1)}
@@ -205,3 +262,28 @@ def test_prop_clause_order_dense(text):
     prog = parse_program(text)
     for cs in prog.predicates.values():
         assert [c.source_index for c in cs] == list(range(len(cs)))
+
+
+# --- property: mutated programs end in a Program or a ParseError -------
+
+_MUTANT_CHARS = st.sampled_from(list("#²٣é':%\n\r\\ (),.-_aX1"))
+
+
+@given(_program_text, st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 10**6), _MUTANT_CHARS)
+def test_prop_mutated_program_parses_or_raises(text, op, at, ch):
+    k = at % (len(text) + 1)
+    if op == "insert":
+        text = text[:k] + ch + text[k:]
+    elif op == "delete":
+        text = text[:k] + text[k + 1:]
+    else:
+        text = text[:k] + ch + text[k + 1:]
+    for parse in (parse_program, parse_query):
+        try:
+            parse(text)
+        except ParseError as e:
+            line = text.split("\n")[e.line - 1]
+            assert 1 <= e.col <= len(line) + 1
+            msg = str(e).split(": ", 1)[1]
+            if msg.startswith("unexpected character"):
+                assert msg == f"unexpected character {line[e.col - 1]!r}"
