@@ -9,11 +9,17 @@ all 8 configurations; then a handful of small programs that reach
 paths the graph cells do not (mutual recursion, a 0-ary tabled
 predicate, non-atomic answers that force the batch delivery back onto
 the general path, compound edges, double recursion), each under its own
-queries and all 8 configurations.
+queries and all 8 configurations; then a fixed-seed block of random
+function-free programs (1-2 tabled binary predicates, 2-5 rules with 1-2
+body goals over them and e/2, 1-6 e/2 facts on nodes 1-4), each under
+one query with a random binding pattern and all 8 configurations.
 
 Each line holds the six counters, ``engine.steps``, a digest of the
 ordered answer strings and, on cells of depth 6 or less (every small
-program), a digest of the traced event log.  The script takes no
+and random program), a digest of the traced event log.  A run that
+raises ``TablingInvariantError`` or ``StepBudgetExceeded`` records
+``"error": "<type>: <message>"`` and the counters at the raise instead
+of the answers.  The script takes no
 options: run it on two checkouts and diff the outputs to check that a
 change keeps evaluation bit-identical.
 
@@ -22,11 +28,13 @@ change keeps evaluation bit-identical.
 
 import hashlib
 import json
+import random
 import sys
 
 from lintab.bench import GraphConfig, edge_facts, gen_edges, make_path_program
-from lintab.engine import ALL_CONFIGS, Engine
+from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded
 from lintab.reader import parse_program, parse_query
+from lintab.tablespace import TablingInvariantError
 from lintab.terms import term_to_str
 
 LEFT_PROGRAM = ":- table path/2.\npath(X,Z) :- path(X,Y), edge(Y,Z).\npath(X,Z) :- edge(X,Z).\n"
@@ -45,6 +53,30 @@ SMALL_PROGRAMS = (
      ":- table p/2.\np(X,Y) :- p(X,Z), p(Z,Y).\np(X,Y) :- e(X,Y).\ne(1,2).\ne(2,3).\ne(3,1).\n",
      ("p(X,Y).", "p(1,Y).")),
 )
+RANDOM_SEED = 2
+RANDOM_PROGRAMS = 300
+VARS = ("X", "Y", "Z", "W")
+QUERY_ARGS = ("X", "Y", "1", "2", "3", "4")
+
+
+def random_program(rng):
+    """One function-free program over tabled p/2 (and q/2) and e/2, and
+    a query on one of its tabled predicates."""
+    tabled = ("p", "q")[: rng.randint(1, 2)]
+    goals = tabled + ("e",)
+
+    def atom(name, args):
+        return f"{name}({args[0]},{args[1]})"
+
+    lines = [f":- table {t}/2." for t in tabled]
+    for _ in range(rng.randint(2, 5)):
+        head = atom(rng.choice(tabled), rng.choices(VARS, k=2))
+        body = [atom(rng.choice(goals), rng.choices(VARS, k=2)) for _ in range(rng.randint(1, 2))]
+        lines.append(f"{head} :- {', '.join(body)}.")
+    for _ in range(rng.randint(1, 6)):
+        lines.append(f"e({rng.randint(1, 4)},{rng.randint(1, 4)}).")
+    query = atom(rng.choice(tabled), rng.choices(QUERY_ARGS, k=2)) + "."
+    return "\n".join(lines) + "\n", query
 
 
 def digest(lines) -> str:
@@ -69,6 +101,21 @@ def cells():
         yield key, LEFT_PROGRAM + edge_facts(edges), QUERIES
     for name, text, queries in SMALL_PROGRAMS:
         yield dict(program=name, depth=0), text, queries
+    rng = random.Random(RANDOM_SEED)
+    for i in range(RANDOM_PROGRAMS):
+        text, query = random_program(rng)
+        yield dict(program=f"random{i}", depth=0), text, (query,)
+
+
+def run(program, query, config, trace=False):
+    """Evaluate one cell; returns the engine, its raw answers (None when
+    the run raised) and the error line, if any."""
+    eng = Engine(program, config, trace=trace)
+    try:
+        raw, _ = eng.run_query(parse_query(query))
+    except (TablingInvariantError, StepBudgetExceeded) as exc:
+        return eng, None, f"{type(exc).__name__}: {exc}"
+    return eng, raw, None
 
 
 def main() -> int:
@@ -76,16 +123,18 @@ def main() -> int:
         program = parse_program(text)
         for query in queries:
             for config in ALL_CONFIGS:
-                eng = Engine(program, config)
-                raw, stats = eng.run_query(parse_query(query))
+                eng, raw, error = run(program, query, config)
                 rec = dict(key, query=query, config=config.label)
-                rec.update(stats.as_dict())
+                rec.update(eng.stats.as_dict())
                 rec["steps"] = eng.steps
-                rec["answers"] = digest(term_to_str(a) for a in eng.answers(raw))
+                if error is None:
+                    rec["answers"] = digest(term_to_str(a) for a in eng.answers(raw))
+                else:
+                    rec["answers"] = None
+                    rec["error"] = error
                 rec["events"] = None
                 if key["depth"] <= TRACE_MAX_DEPTH:
-                    traced = Engine(program, config, trace=True)
-                    traced.run_query(parse_query(query))
+                    traced, _, _ = run(program, query, config, trace=True)
                     rec["events"] = digest(traced.events)
                 print(json.dumps(rec, sort_keys=True))
     return 0

@@ -6,7 +6,8 @@ query's own variable names; `bench` drives the strategy matrix over one of
 the generated graph families and prints the report.
 
 Exit status: 0 on success, 1 when the engine hits a limit or detects an
-internal inconsistency, 2 on usage or parse errors.
+internal inconsistency, 2 on usage or parse errors or a program file that
+cannot be read or is not UTF-8.
 """
 
 from __future__ import annotations
@@ -98,11 +99,17 @@ def _format_answer(template, varmap: dict, answer) -> str:
 
 def _cmd_run(args) -> int:
     try:
-        with open(args.program, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.program, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         print(f"error: cannot read program {args.program!r}: {exc.strerror}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot read program {args.program!r}: not UTF-8 "
+              f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})", file=sys.stderr)
+        return 2
+    if "\r" in text:  # the universal newlines of a text-mode read
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     varmap: dict = {}
     try:
         program = parse_program(text)

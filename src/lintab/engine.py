@@ -108,7 +108,6 @@ _P_TABLED = 0
 _P_GENERAL = 1
 _P_FACTS2 = 2  # all clauses ground facts of arity 2, first-arg indexed
 _P_FACT0 = 3  # single 0-ary fact: deterministic success
-_P_EMPTY = 4
 
 
 class _Pred:
@@ -123,15 +122,13 @@ class _Pred:
         self.facts = None
         if tabled:
             self.kind = _P_TABLED
-        elif not clauses:
-            self.kind = _P_EMPTY
         elif (
             len(clauses) == 1
             and f.arity == 0
             and not clauses[0].body
         ):
             self.kind = _P_FACT0
-        elif f.arity == 2 and all(
+        elif clauses and f.arity == 2 and all(
             not c.body and _ground_atomic(c.head.args[0]) and _ground_atomic(c.head.args[1])
             for c in clauses
         ):
@@ -159,9 +156,6 @@ K_GENERATOR = 2
 K_CONSUMER = 3
 K_FOLLOWER = 4
 
-PH_CLAUSES = 0
-PH_CONSUME = 1  # set by _start_delivery: the choice point delivers its answers
-
 # delivery plans
 PLAN_GENERAL = 0
 PLAN_TABLE = 1  # batch: insert last-arg token into the parent's table
@@ -175,7 +169,6 @@ class _CP:
         "cont",
         "frame",
         "call",
-        "phase",
         "idx",
         "plan",
         "ns_cell",
@@ -198,7 +191,6 @@ class _CP:
         self.cont = cont
         self.frame = None
         self.call = None
-        self.phase = PH_CLAUSES
         self.idx = 0
         self.plan = None
         self.ns_cell = None
@@ -211,7 +203,7 @@ class _CP:
         self.c0 = None
         self.c1 = None
         self.via = ""
-        self.sols = None  # the answers this choice point delivers, by index
+        self.sols = None  # the answers it delivers; None while it runs clauses
         self.table_len = None  # table size when a non-leader starts consuming
 
 
@@ -327,16 +319,14 @@ class Engine:
                         break
                     kind = pred.kind
                     self.steps += 1
-                    if kind == _P_FACT0:
-                        sc = stats.sld_calls
-                        sc[pred.key] = sc.get(pred.key, 0) + 1
-                        cont = rest
-                        continue
                     if kind == _P_TABLED:
                         cont = self._tabled_call(entry, rest)
                         continue
                     sc = stats.sld_calls
                     sc[pred.key] = sc.get(pred.key, 0) + 1
+                    if kind == _P_FACT0:
+                        cont = rest
+                        continue
                     if kind == _P_FACTS2:
                         a0 = deref(entry.args[0])
                         if type(a0) is Var:
@@ -352,9 +342,6 @@ class Engine:
                         cp.c0 = a0
                         cp.c1 = deref(entry.args[1])
                         cps.append(cp)
-                        cont = None
-                        break
-                    if kind == _P_EMPTY:
                         cont = None
                         break
                     cp = _CP(K_INTERIOR, len(trail), rest)
@@ -459,7 +446,6 @@ class Engine:
             gs = self.gen_stack
             frame.stack_depth = len(gs)
             gs.append(frame)
-            frame.push_stamp = self.clock
             self._begin_round(frame, first_round)
             kind, role = K_GENERATOR, "generator"
         elif state == COMPLETE:
@@ -491,9 +477,6 @@ class Engine:
         self.steps += 1
         if is_new:
             stats.answers_emitted += 1
-            frame.new_solutions = True
-            if self.config.drs and frame.first_solution_in_current_round is None:
-                frame.first_solution_in_current_round = len(frame.solution_order) - 1
             if self.events is not None:
                 self.events.append(f"new_solution g{frame.fid} {len(frame.solution_order) - 1}")
         elif self.events is not None:
@@ -503,9 +486,9 @@ class Engine:
 
     def _retry_tabled(self, cp):
         """Retry a generator, follower or consumer: enter the frame's next
-        clause while the choice point is in its clause phase, then deliver."""
+        clause until the choice point has answers to deliver, then deliver."""
         frame = cp.frame
-        while cp.phase == PH_CLAUSES:
+        while cp.sols is None:
             cont = self._try_alternatives(cp)
             if cont is not None:
                 return cont
@@ -527,9 +510,8 @@ class Engine:
             # subgoal depends on itself, so a round that grew any table in
             # the component forces another pass.  Without a self-dependency
             # the first pass is already final.
-            elif md == frame.stack_depth and (
-                frame.new_solutions
-                or any(m.new_solutions for m in self.gen_stack[frame.stack_depth + 1 :])
+            elif md == frame.stack_depth and any(
+                len(m.solution_order) > m.round_start for m in self.gen_stack[md:]
             ):
                 self._restart_round(frame)
             else:
@@ -538,11 +520,11 @@ class Engine:
         return self._deliver(cp)
 
     def _close_alt_window(self, cp, frame) -> None:
+        # only DRA opens a window
         if cp.alt_open is not None:
-            if self.config.dra:
-                d = self._min_event_depth_since(cp.alt_open)
-                if d is not None and d <= frame.stack_depth:
-                    frame.looping_alternatives.setdefault(cp.cur_clause)
+            d = self._min_event_depth_since(cp.alt_open)
+            if d is not None and d <= frame.stack_depth:
+                frame.looping_alternatives.setdefault(cp.cur_clause)
             cp.alt_open = None
 
     def _try_alternatives(self, cp):
@@ -585,23 +567,22 @@ class Engine:
         if self.events is not None:
             self.events.append(f"round_start g{frame.fid} {stats.rounds_started}")
             self.events.append(f"fixpoint g{frame.fid} restart")
-        frame.new_solutions = False
         gs = self.gen_stack
         d = frame.stack_depth
         for m in gs[d + 1 :]:
             m.set_state(LOOP_READY)
             m.stack_depth = None
-            m.new_solutions = False
         del gs[d + 1 :]
         frame.set_state(LOOP_READY)
         frame.set_state(LOOP_EVALUATING)
-        frame.push_stamp = self.clock
         self._begin_round(frame, first_round=False)
 
     def _begin_round(self, frame, first_round: bool) -> None:
-        """Reset the frame's shared clause cursor for a pass over its
-        clauses; a DRA re-evaluation round runs only looping ones."""
-        frame.first_solution_in_current_round = None
+        """Start a pass over the frame's clauses: stamp its dependency
+        window, mark where the round's answers begin and reset the shared
+        clause cursor.  A DRA re-evaluation round runs only looping clauses."""
+        frame.push_stamp = self.clock
+        frame.round_start = len(frame.solution_order)
         if self.config.dra and not first_round:
             frame.alt_seq = tuple(frame.looping_alternatives)
         else:
@@ -614,7 +595,7 @@ class Engine:
         gs = self.gen_stack
         d = frame.stack_depth
         for m in gs[d + 1 :]:
-            if m.new_solutions:
+            if len(m.solution_order) > m.round_start:
                 raise TablingInvariantError("completing member with pending solutions")
             m.set_state(COMPLETE)
             m.stack_depth = None
@@ -639,7 +620,6 @@ class Engine:
     # -- deliveries ------------------------------------------------------------
 
     def _start_delivery(self, cp, via: str, sols: list) -> None:
-        cp.phase = PH_CONSUME
         cp.via = via
         cp.sols = sols
         cp.idx = 0
@@ -745,11 +725,7 @@ class Engine:
                 porder.append(nn)
                 pch[z] = nn
         cp.idx = i
-        if len(porder) > p0:
-            parent.new_solutions = True
-            self.stats.answers_emitted += len(porder) - p0
-            if self.config.drs and parent.first_solution_in_current_round is None:
-                parent.first_solution_in_current_round = p0
+        self.stats.answers_emitted += len(porder) - p0
         if bumps and i > start:
             sc = self.stats.sld_calls
             for key in bumps:
@@ -770,12 +746,10 @@ class Engine:
 
     def _deliver_general(self, cp):
         frame = cp.frame
-        drs_marks = (
-            self.config.drs
-            and cp.kind in (K_GENERATOR, K_FOLLOWER)
-            and frame.stack_depth is not None
-        )
-        if drs_marks and cp.sol_open is not None:
+        # the frame's depth cannot change while its own choice point
+        # delivers, so the window opened at the previous answer closes at
+        # the depth it opened at
+        if cp.sol_open is not None:
             d = self._min_event_depth_since(cp.sol_open)
             if d is not None and d <= frame.stack_depth:
                 TableSpace.mark_looping_solution(frame, cp.cur_sol)
@@ -792,7 +766,7 @@ class Engine:
             )
         if self.events is not None:
             self.events.append(f"consume g{frame.fid} {node.ordinal} via={cp.via}")
-        if drs_marks:
+        if self.config.drs and cp.kind != K_CONSUMER and frame.stack_depth is not None:
             cp.sol_open = self.clock
             cp.cur_sol = node
         return cp.cont

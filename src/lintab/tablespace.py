@@ -1,7 +1,8 @@
 """Table space: subgoal trie, per-subgoal solution tries, subgoal frames.
 
-Both tries share one node type.  A node is terminal when it carries a
-payload (subgoal trie: the frame) or an insertion ordinal (solution trie).
+Both tries share one node type.  A node is terminal when it carries an
+ordinal: in the subgoal trie the frame id, its index in ``frames``; in a
+solution trie the insertion ordinal, its index in ``solution_order``.
 Canonical token streams are preorder walks, so no terminal is a proper
 ancestor of another terminal; solution terminals are always leaves.
 
@@ -39,7 +40,7 @@ class TablingInvariantError(RuntimeError):
 
 
 class TrieNode:
-    __slots__ = ("token", "children", "parent", "ordinal", "looping", "payload")
+    __slots__ = ("token", "children", "parent", "ordinal", "looping")
 
     def __init__(self, token, parent):
         self.token = token
@@ -47,7 +48,6 @@ class TrieNode:
         self.parent = parent
         self.ordinal: Optional[int] = None
         self.looping = False
-        self.payload = None
 
     def child(self, token) -> "TrieNode":
         ch = self.children
@@ -78,12 +78,8 @@ def solution_term(node: TrieNode):
 def drs_selection(frame: SubgoalFrame) -> list[TrieNode]:
     """The answers a non-leader generator hands its caller under DRS:
     loop-marked ones plus those new in the current round, in table order."""
-    fir = frame.first_solution_in_current_round
-    return [
-        n
-        for n in frame.solution_order
-        if n.looping or (fir is not None and n.ordinal >= fir)
-    ]
+    start = frame.round_start
+    return [n for n in frame.solution_order if n.looping or n.ordinal >= start]
 
 
 class SubgoalFrame:
@@ -95,9 +91,8 @@ class SubgoalFrame:
         "solution_trie_root",
         "sol_func_node",
         "solution_order",
-        "new_solutions",
+        "round_start",
         "looping_alternatives",
-        "first_solution_in_current_round",
         "next_alternative",
         "alt_seq",
         "stack_depth",
@@ -114,9 +109,10 @@ class SubgoalFrame:
         # every solution starts with the functor token; pre-create that level
         self.sol_func_node = self.solution_trie_root.child(functor)
         self.solution_order: list[TrieNode] = []
-        self.new_solutions = False
+        # table size when the current round began: the answers at and past
+        # this ordinal are the round's new ones
+        self.round_start = 0
         self.looping_alternatives: dict[int, None] = {}  # ordered set
-        self.first_solution_in_current_round: Optional[int] = None  # ordinal
         self.next_alternative = 0  # cursor into alt_seq, shared with followers
         self.alt_seq: tuple = ()  # clause indices the current round runs
         self.stack_depth: Optional[int] = None  # set while on the generator stack
@@ -151,14 +147,13 @@ class TableSpace:
         node = self.subgoal_root
         for tok in tokens:
             node = node.child(tok)
-        frame = node.payload
-        if frame is not None:
-            return frame, True
+        if node.ordinal is not None:
+            return self.frames[node.ordinal], True
         f = tokens[0]
         if type(f) is not Functor:
             raise TablingInvariantError("tabled call must be atom or compound")
-        frame = SubgoalFrame(f, tokens, len(self.frames))
-        node.payload = frame
+        node.ordinal = len(self.frames)
+        frame = SubgoalFrame(f, tokens, node.ordinal)
         self.frames.append(frame)
         return frame, False
 

@@ -1,10 +1,16 @@
 """Command-line interface tests: output shapes and exit-status classes."""
 
+import ast
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lintab.bench import parse_structured
 from lintab.cli import main
@@ -61,6 +67,23 @@ def test_run_ground_query_prints_true(program_file, capsys):
 def test_run_missing_file_is_usage_error(capsys):
     assert main(["run", "--program", "/nonexistent.pl", "--query", "a(X)."]) == 2
     assert "/nonexistent.pl" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix", [b"", b"e(1,2).\n" * 2000], ids=["start", "past_8k"])
+def test_run_non_utf8_program_is_usage_error(tmp_path, capsys, prefix):
+    # past the first 8 KiB too: the offset counts from the start of the file
+    p = tmp_path / "bad.pl"
+    p.write_bytes(prefix + b"p(\xff).\n")
+    assert main(["run", "--program", str(p), "--query", "p(X)."]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read program {str(p)!r}: not UTF-8 (byte 0xff at offset {len(prefix) + 2})\n"
+
+
+def test_run_reads_crlf_and_cr_line_ends(tmp_path, capsys):
+    p = tmp_path / "crlf.pl"
+    p.write_bytes(b"e(1).\r\ne(2).\re(3).\r\n")
+    assert main(["run", "--program", str(p), "--query", "e(X)."]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == ["X = 1", "X = 2", "X = 3"]
 
 
 def test_run_bad_query_is_parse_error(program_file, capsys):
@@ -171,3 +194,43 @@ def test_bench_budget_error_exit_code(capsys):
     assert main(["bench", "--shape", "cycle", "--depth", "25",
                  "--step-budget", "100"]) == 1
     assert "error: step budget" in capsys.readouterr().out
+
+
+# --- property: any program bytes end in an exit status -------------------
+
+PATH_PROGRAM = (b":- table path/2.\npath(X,Z) :- path(X,Y), edge(Y,Z).\n"
+                b"path(X,Z) :- edge(X,Z).\nedge(1,2).\nedge(2,3).\nedge(3,1).\n")
+_MUTANT_BYTES = st.sampled_from(list(b"\xff\xc3\x00'%\r\\\n (),.:-aX1"))
+_MUTATION = st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 10**6), _MUTANT_BYTES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_MUTATION, min_size=1, max_size=3),
+    st.sampled_from(["path(X,Y).", "path(1,Y).", "edge(X,Y)."]),
+    st.sampled_from([[], ["--dre"], ["--dra", "--drs"], ["--dre", "--dra", "--drs"]]),
+)
+def test_prop_run_never_raises_on_program_bytes(tmp_path_factory, mutations, query, flags):
+    data = bytearray(PATH_PROGRAM)
+    for op, at, byte in mutations:
+        k = at % (len(data) + 1)
+        if op == "insert":
+            data[k:k] = bytes([byte])
+        elif op == "delete":
+            del data[k:k + 1]
+        else:
+            data[k:k + 1] = bytes([byte])
+    p = tmp_path_factory.mktemp("mutant") / "p.pl"
+    p.write_bytes(bytes(data))
+    argv = ["run", "--program", str(p), "--query", query, "--step-budget", "20000"] + flags
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml promises Python 3.10; this checks the syntax only
+    src = Path(__file__).resolve().parent.parent / "src" / "lintab"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -158,6 +158,16 @@ def test_empty_relation_completes_empty(config):
     assert frame.solution_order == []
 
 
+def test_clauseless_predicates_count_one_call_and_fail():
+    # e/2, f/0 and g/1 occur only in bodies: each call is one step and one
+    # sld call, and fails without touching a fact index
+    text = ":- table p/2.\np(X,Y) :- e(X,Y).\np(X,Y) :- f, e(Y,X).\np(X,Y) :- g(X), q.\np(1,2).\nq.\n"
+    eng, answers, stats = run(text, "p(X,Y).")
+    assert [term_to_str(a) for a in answers] == ["p(1,2)"]
+    assert stats.sld_calls == {"e/2": 1, "f/0": 1, "g/1": 1}
+    assert eng.steps == 10
+
+
 def test_ground_query_true_or_false():
     text = path_program([(1, 2), (2, 3)])
     _, yes, _ = run(text, "path(1,3).")

@@ -39,15 +39,15 @@ def test_subgoal_variants_share_frame():
     assert f1 is f2
     assert f3 is not f1
     assert ts.frames == [f1, f3]
+    assert (f1.fid, f3.fid) == (0, 1)  # the subgoal terminal's ordinal
 
 
 def test_new_frame_starts_ready_and_empty():
     _, f = make_frame()
     assert f.state == READY
     assert f.solution_order == []
-    assert not f.new_solutions
+    assert f.round_start == 0  # no answer is new before a round grows the table
     assert f.looping_alternatives == {}
-    assert f.first_solution_in_current_round is None
 
 
 def test_solution_check_insert_dedup_and_order():
@@ -90,7 +90,7 @@ def test_load_all_insertion_order():
 def test_load_current_round_only():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2])
-    f.first_solution_in_current_round = 2  # ordinal of the next insert
+    f.round_start = 2  # the table size when the round began
     insert_ints(ts, f, [3])
     got = [solution_term(n).args[0] for n in drs_selection(f)]
     assert got == [3]
@@ -99,6 +99,7 @@ def test_load_current_round_only():
 def test_load_looping_only():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2])
+    f.round_start = 2  # no answer is new in this round
     ts.mark_looping_solution(f, f.solution_order[0])
     got = [solution_term(n).args[0] for n in drs_selection(f)]
     assert got == [1]
@@ -108,7 +109,7 @@ def test_load_looping_plus_round_deduplicated():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2, 3])
     ts.mark_looping_solution(f, f.solution_order[2])
-    f.first_solution_in_current_round = 2
+    f.round_start = 2
     got = [solution_term(n).args[0] for n in drs_selection(f)]
     assert got == [3]
 
@@ -137,10 +138,13 @@ def test_begin_round_resets_marker():
     eng = Engine(parse_program(":- table p/1.\np(1).\np(2).\n"), StrategyConfig())
     ts, f = make_frame(eng.ts)
     insert_ints(ts, f, [1])
-    f.first_solution_in_current_round = 0
+    f.round_start = 0
     f.next_alternative = 2
+    eng.clock = 7
     eng._begin_round(f, first_round=False)
-    assert f.first_solution_in_current_round is None
+    # the answer stored before the round is not new in it
+    assert (f.round_start, f.push_stamp) == (1, 7)
+    assert drs_selection(f) == []
     assert (f.next_alternative, f.alt_seq) == (0, (0, 1))
 
 
@@ -259,12 +263,12 @@ def test_prop_looping_plus_round_is_subsequence_of_all(vals, data):
     for node in frame.solution_order:
         if data.draw(st.booleans()):
             ts.mark_looping_solution(frame, node)
-    fir = data.draw(st.one_of(st.none(), st.integers(0, max(n - 1, 0))))
-    frame.first_solution_in_current_round = fir if n else None
+    start = data.draw(st.integers(0, n))  # n: no answer new in the round
+    frame.round_start = start
     all_sols = [n_.ordinal for n_ in frame.solution_order]
     some = [n_.ordinal for n_ in drs_selection(frame)]
     it = iter(all_sols)
     assert all(x in it for x in some)  # subsequence check
     assert len(set(some)) == len(some)
-    if fir is not None and n:
-        assert set(range(fir, n)) <= set(some)
+    assert set(range(start, n)) <= set(some)
+    assert all(x >= start or frame.solution_order[x].looping for x in some)
