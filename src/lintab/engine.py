@@ -111,13 +111,12 @@ _P_FACT0 = 3  # single 0-ary fact: deterministic success
 
 
 class _Pred:
-    __slots__ = ("functor", "key", "kind", "clauses", "all_alts", "index", "facts")
+    __slots__ = ("functor", "key", "kind", "clauses", "index", "facts")
 
     def __init__(self, f: Functor, clauses, tabled: bool):
         self.functor = f
         self.key = f"{f.name}/{f.arity}"
         self.clauses = None  # (head, body) pairs, for the kinds that resolve clauses
-        self.all_alts = None
         self.index = None
         self.facts = None
         if tabled:
@@ -141,7 +140,6 @@ class _Pred:
             self.kind = _P_GENERAL
         if self.kind in (_P_TABLED, _P_GENERAL):
             self.clauses = [(c.head, c.body) for c in clauses]
-            self.all_alts = tuple(range(len(clauses)))
 
 
 def _ground_atomic(t) -> bool:
@@ -172,15 +170,12 @@ class _CP:
         "idx",
         "plan",
         "ns_cell",
-        "alt_open",
-        "cur_clause",
-        "sol_open",
-        "cur_sol",
+        "window",
+        "cur",
         "clauses",
         "facts",
         "c0",
         "c1",
-        "via",
         "sols",
         "table_len",
     )
@@ -194,17 +189,23 @@ class _CP:
         self.idx = 0
         self.plan = None
         self.ns_cell = None
-        self.alt_open = None
-        self.cur_clause = -1
-        self.sol_open = None
-        self.cur_sol = None
+        self.window = None  # clock when the running clause (DRA) or answer (DRS) began
+        self.cur = None  # that clause index or answer node
         self.clauses = None
         self.facts = None
         self.c0 = None
         self.c1 = None
-        self.via = ""
         self.sols = None  # the answers it delivers; None while it runs clauses
         self.table_len = None  # table size when a non-leader starts consuming
+
+
+def _role(cp) -> str:
+    """What a tabled choice point is to its frame, as the event log names it."""
+    if cp.kind == K_FOLLOWER:
+        return "follower"
+    if cp.frame.state == COMPLETE:
+        return "completed"
+    return "generator" if cp.kind == K_GENERATOR else "consumer"
 
 
 class Engine:
@@ -243,8 +244,8 @@ class Engine:
         self.steps = 0
         self.raw_answers: list = []
         self._template = query_template(goals) if goals else None
-        self._single_goal = goals[0] if len(goals) == 1 else None
-        self._collect_cell = (_COLLECT, None)
+        # a batch plan may stream into a one-goal query's answer list only
+        self._collect_cell = (_COLLECT, None) if len(goals) == 1 else None
         self._roles: dict = {}  # fid -> {clause: "pioneer" | "follower"} this round
 
     # -- dependency events ----------------------------------------------
@@ -262,9 +263,7 @@ class Engine:
 
     def _min_event_depth_since(self, stamp: int) -> int | None:
         i = bisect_left(self.ev_stamps, stamp)
-        if i == len(self.ev_stamps):
-            return None
-        return self.ev_depths[i]
+        return self.ev_depths[i] if i < len(self.ev_stamps) else None
 
     # -- public API -------------------------------------------------------
 
@@ -274,25 +273,19 @@ class Engine:
         if not goals:
             raise ValueError("empty query")
         self._reset(goals)
-        cont = self._collect_cell
+        cont = self._collect_cell or (_COLLECT, None)
         for g in reversed(goals):
             cont = (g, cont)
         self._run(cont)
-        self._check_exit_invariants()
-        return self.raw_answers, self.stats
-
-    def answers(self, raw) -> list:
-        out = []
-        for a in raw:
-            out.append(solution_term(a) if type(a) is TrieNode else a)
-        return out
-
-    def _check_exit_invariants(self) -> None:
         if self.gen_stack:
             raise TablingInvariantError("generator stack not empty at exit")
         for f in self.ts.frames:
             if f.state != COMPLETE:
                 raise TablingInvariantError(f"frame {f.subgoal_str()} not complete at exit")
+        return self.raw_answers, self.stats
+
+    def answers(self, raw) -> list:
+        return [solution_term(a) if type(a) is TrieNode else a for a in raw]
 
     # -- the machine ------------------------------------------------------
 
@@ -441,33 +434,32 @@ class Engine:
         frame, _existed = self.ts.subgoal_check_insert(goal)
         state = frame.state
         if state == READY or state == LOOP_READY:
-            first_round = state == READY
-            frame.set_state(EVALUATING if first_round else LOOP_EVALUATING)
+            frame.set_state(EVALUATING if state == READY else LOOP_EVALUATING)
             gs = self.gen_stack
             frame.stack_depth = len(gs)
             gs.append(frame)
-            self._begin_round(frame, first_round)
-            kind, role = K_GENERATOR, "generator"
+            self._begin_round(frame)
+            kind = K_GENERATOR
         elif state == COMPLETE:
-            kind, role = K_CONSUMER, "completed"
+            kind = K_CONSUMER
         else:
             # evaluating / loop_evaluating: a repeated call
             self._record_event(frame.stack_depth)
             if self.config.dre and frame.next_alternative < len(frame.alt_seq):
                 self.stats.followers_created += 1
-                kind, role = K_FOLLOWER, "follower"
+                kind = K_FOLLOWER
             else:
-                kind, role = K_CONSUMER, "consumer"
+                kind = K_CONSUMER
         cp = _CP(kind, len(self.trail), rest)
         cp.frame = frame
         cp.call = goal
         if kind == K_CONSUMER:
-            self._start_delivery(cp, role, frame.solution_order)
+            self._start_delivery(cp, frame.solution_order)
         else:
             cp.ns_cell = (_NewSol(frame, goal), None)
         self.cps.append(cp)
         if self.events is not None:
-            self.events.append(f"call g{frame.fid} {role}")
+            self.events.append(f"call g{frame.fid} {_role(cp)}")
         return None
 
     def _new_solution(self, entry) -> None:
@@ -486,15 +478,26 @@ class Engine:
 
     def _retry_tabled(self, cp):
         """Retry a generator, follower or consumer: enter the frame's next
-        clause until the choice point has answers to deliver, then deliver."""
+        clause until the choice point has answers to deliver, then deliver.
+        The clause or answer that just ran loops iff a repeated call made
+        while it ran reached this frame or one below (a frame's depth
+        cannot change while its own choice point runs)."""
         frame = cp.frame
+        if cp.window is not None:
+            d = self._min_event_depth_since(cp.window)
+            if d is not None and d <= frame.stack_depth:
+                if cp.sols is None:
+                    frame.looping_alternatives.setdefault(cp.cur)
+                else:
+                    frame.mark_looping_solution(cp.cur)
+            cp.window = None
         while cp.sols is None:
             cont = self._try_alternatives(cp)
             if cont is not None:
                 return cont
             if cp.kind == K_FOLLOWER:
                 # followers always consume everything
-                self._start_delivery(cp, "follower", frame.solution_order)
+                self._start_delivery(cp, frame.solution_order)
                 continue
             # the generator's cursor is exhausted: fix-point check
             md = self._min_event_depth_since(frame.push_stamp)
@@ -505,7 +508,7 @@ class Engine:
                 # (see _deliver), so the DRS selection is made once, here
                 cp.table_len = len(frame.solution_order)
                 sols = drs_selection(frame) if self.config.drs else frame.solution_order
-                self._start_delivery(cp, "generator", sols)
+                self._start_delivery(cp, sols)
             # md == depth means a repeated call targeted this frame: the
             # subgoal depends on itself, so a round that grew any table in
             # the component forces another pass.  Without a self-dependency
@@ -516,16 +519,8 @@ class Engine:
                 self._restart_round(frame)
             else:
                 self._complete_scc(frame)
-                self._start_delivery(cp, "completed", frame.solution_order)
+                self._start_delivery(cp, frame.solution_order)
         return self._deliver(cp)
-
-    def _close_alt_window(self, cp, frame) -> None:
-        # only DRA opens a window
-        if cp.alt_open is not None:
-            d = self._min_event_depth_since(cp.alt_open)
-            if d is not None and d <= frame.stack_depth:
-                frame.looping_alternatives.setdefault(cp.cur_clause)
-            cp.alt_open = None
 
     def _try_alternatives(self, cp):
         """Enter the frame's next untried clause that unifies with the call
@@ -534,9 +529,6 @@ class Engine:
         frame = cp.frame
         trail = self.trail
         dra = self.config.dra
-        # the alternative that just finished is loop-marked like any other,
-        # whether the pioneer or a follower ran it
-        self._close_alt_window(cp, frame)
         clauses = self.preds[frame.functor].clauses
         seq = frame.alt_seq
         # a frame off the generator stack has no pioneer left to follow
@@ -554,9 +546,9 @@ class Engine:
                 raise TablingInvariantError(f"loop round ran non-looping clause {ci}")
             if self.events is not None:
                 self.events.append(f"alt g{frame.fid} {ci}")
-            cp.cur_clause = ci
-            if dra:
-                cp.alt_open = self.clock
+            if dra:  # whether the pioneer or a follower runs it
+                cp.window = self.clock
+                cp.cur = ci
             return cont
         trail.undo_to(cp.mark)
         return None
@@ -575,18 +567,18 @@ class Engine:
         del gs[d + 1 :]
         frame.set_state(LOOP_READY)
         frame.set_state(LOOP_EVALUATING)
-        self._begin_round(frame, first_round=False)
+        self._begin_round(frame)
 
-    def _begin_round(self, frame, first_round: bool) -> None:
+    def _begin_round(self, frame) -> None:
         """Start a pass over the frame's clauses: stamp its dependency
         window, mark where the round's answers begin and reset the shared
         clause cursor.  A DRA re-evaluation round runs only looping clauses."""
         frame.push_stamp = self.clock
         frame.round_start = len(frame.solution_order)
-        if self.config.dra and not first_round:
+        if self.config.dra and frame.state == LOOP_EVALUATING:
             frame.alt_seq = tuple(frame.looping_alternatives)
         else:
-            frame.alt_seq = self.preds[frame.functor].all_alts
+            frame.alt_seq = range(len(self.preds[frame.functor].clauses))
         frame.next_alternative = 0
         self._roles[frame.fid] = {}
 
@@ -619,8 +611,7 @@ class Engine:
 
     # -- deliveries ------------------------------------------------------------
 
-    def _start_delivery(self, cp, via: str, sols: list) -> None:
-        cp.via = via
+    def _start_delivery(self, cp, sols: list) -> None:
         cp.sols = sols
         cp.idx = 0
         cp.plan = self._make_plan(cp.call, cp.cont)
@@ -628,7 +619,7 @@ class Engine:
     def _make_plan(self, call, cont):
         """Classify the delivery continuation; batch plans run without
         per-solution trail traffic."""
-        if cont is self._collect_cell and self._single_goal is not None:
+        if cont is self._collect_cell:
             # the query-level choice point streaming into the answer list
             return (PLAN_COLLECT,)
         if type(call) is not Struct or len(call.args) != 2:
@@ -731,9 +722,10 @@ class Engine:
             for key in bumps:
                 sc[key] = sc.get(key, 0) + (i - start)
         if self.events is not None:
+            via = _role(cp)
             for node in sols[start:i]:
                 o = pch[node.token].ordinal
-                self.events.append(f"consume g{src.fid} {node.ordinal} via={cp.via}")
+                self.events.append(f"consume g{src.fid} {node.ordinal} via={via}")
                 self.events.append(f"new_solution g{parent.fid} {o if o >= p0 else 'dup'}")
 
     def _burst_collect(self, cp) -> None:
@@ -741,19 +733,12 @@ class Engine:
         cp.idx += len(take)
         self.raw_answers.extend(take)
         if self.events is not None:
+            via = _role(cp)
             for node in take:
-                self.events.append(f"consume g{cp.frame.fid} {node.ordinal} via={cp.via}")
+                self.events.append(f"consume g{cp.frame.fid} {node.ordinal} via={via}")
 
     def _deliver_general(self, cp):
         frame = cp.frame
-        # the frame's depth cannot change while its own choice point
-        # delivers, so the window opened at the previous answer closes at
-        # the depth it opened at
-        if cp.sol_open is not None:
-            d = self._min_event_depth_since(cp.sol_open)
-            if d is not None and d <= frame.stack_depth:
-                TableSpace.mark_looping_solution(frame, cp.cur_sol)
-            cp.sol_open = None
         if cp.idx == len(cp.sols):
             return None
         node = cp.sols[cp.idx]
@@ -765,10 +750,10 @@ class Engine:
                 f"answer {node.ordinal} of g{frame.fid} does not unify with its call"
             )
         if self.events is not None:
-            self.events.append(f"consume g{frame.fid} {node.ordinal} via={cp.via}")
+            self.events.append(f"consume g{frame.fid} {node.ordinal} via={_role(cp)}")
         if self.config.drs and cp.kind != K_CONSUMER and frame.stack_depth is not None:
-            cp.sol_open = self.clock
-            cp.cur_sol = node
+            cp.window = self.clock
+            cp.cur = node
         return cp.cont
 
 

@@ -27,7 +27,6 @@ class ParseError(Exception):
 class Clause:
     head: object
     body: tuple
-    source_index: int
 
 
 @dataclass(eq=False)
@@ -194,8 +193,7 @@ def parse_program(text: str) -> Program:
         else:
             p.fail("expected ':-' or '.'", p.i - 1)
         f = _goal_functor(head)
-        lst = prog.predicates.setdefault(f, [])
-        lst.append(Clause(head, goals, len(lst)))
+        prog.predicates.setdefault(f, []).append(Clause(head, goals))
         for g in goals:
             body_preds.append(_goal_functor(g))
     for f in body_preds:

@@ -40,14 +40,13 @@ class TablingInvariantError(RuntimeError):
 
 
 class TrieNode:
-    __slots__ = ("token", "children", "parent", "ordinal", "looping")
+    __slots__ = ("token", "children", "parent", "ordinal")
 
     def __init__(self, token, parent):
         self.token = token
         self.children: Optional[dict] = None
         self.parent = parent
         self.ordinal: Optional[int] = None
-        self.looping = False
 
     def child(self, token) -> "TrieNode":
         ch = self.children
@@ -79,7 +78,8 @@ def drs_selection(frame: SubgoalFrame) -> list[TrieNode]:
     """The answers a non-leader generator hands its caller under DRS:
     loop-marked ones plus those new in the current round, in table order."""
     start = frame.round_start
-    return [n for n in frame.solution_order if n.looping or n.ordinal >= start]
+    looping = frame.looping_solutions
+    return [n for n in frame.solution_order if n.ordinal >= start or n.ordinal in looping]
 
 
 class SubgoalFrame:
@@ -93,6 +93,7 @@ class SubgoalFrame:
         "solution_order",
         "round_start",
         "looping_alternatives",
+        "looping_solutions",
         "next_alternative",
         "alt_seq",
         "stack_depth",
@@ -113,8 +114,9 @@ class SubgoalFrame:
         # this ordinal are the round's new ones
         self.round_start = 0
         self.looping_alternatives: dict[int, None] = {}  # ordered set
+        self.looping_solutions: set[int] = set()  # answer ordinals DRS marked
         self.next_alternative = 0  # cursor into alt_seq, shared with followers
-        self.alt_seq: tuple = ()  # clause indices the current round runs
+        self.alt_seq: tuple | range = ()  # clause indices the current round runs
         self.stack_depth: Optional[int] = None  # set while on the generator stack
         self.push_stamp = 0
         # true while every stored solution is f(atomic, atomic); lets bulk
@@ -127,6 +129,11 @@ class SubgoalFrame:
                 f"illegal state transition {self.state} -> {new} for {self.subgoal_str()}"
             )
         self.state = new
+
+    def mark_looping_solution(self, node: TrieNode) -> None:
+        if node.ordinal is None:
+            raise TablingInvariantError("looping mark on a non-solution node")
+        self.looping_solutions.add(node.ordinal)
 
     def subgoal_str(self) -> str:
         return term_to_str(tokens_to_term(self.call_tokens))
@@ -172,12 +179,6 @@ class TableSpace:
         frame.solution_order.append(node)
         return True
 
-    @staticmethod
-    def mark_looping_solution(frame: SubgoalFrame, node: TrieNode) -> None:
-        if node.ordinal is None:
-            raise TablingInvariantError("looping mark on a non-solution node")
-        node.looping = True
-
     def dump(self) -> str:
         """Deterministic text rendering, one frame per block."""
         out = []
@@ -187,6 +188,6 @@ class TableSpace:
                 idxs = ",".join(str(i) for i in fr.looping_alternatives)
                 out.append(f"   looping_alts: [{idxs}]")
             for i, node in enumerate(fr.solution_order):
-                mark = " *loop" if node.looping else ""
+                mark = " *loop" if i in fr.looping_solutions else ""
                 out.append(f"   sol {i}: {term_to_str(solution_term(node))}{mark}")
         return "\n".join(out) + ("\n" if out else "")

@@ -3,7 +3,7 @@
 ``engine.steps``, answer and event-log digests, or the error a run raised)
 must hash to the recorded value.  A change that alters evaluation on
 purpose records the new digest here and says why.  The run takes about
-half a minute."""
+55 s on a 2-core machine with Python 3.11."""
 
 import hashlib
 import os

@@ -104,8 +104,9 @@ def test_plain_run_checks_the_dra_loop_round(monkeypatch):
     # plain run: the invariant checks are not optional
     begin_round = Engine._begin_round
 
-    def every_clause(self, frame, first_round):
-        begin_round(self, frame, True)
+    def every_clause(self, frame):
+        begin_round(self, frame)
+        frame.alt_seq = range(len(self.preds[frame.functor].clauses))
 
     monkeypatch.setattr(Engine, "_begin_round", every_clause)
     eng = Engine(parse_program(MUTUAL), StrategyConfig(dra=True))

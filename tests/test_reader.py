@@ -31,9 +31,9 @@ def test_parse_path_program():
     assert len(prog.clauses(functor("path", 2))) == 2
     assert prog.clauses(functor("edge", 2)) == []
     assert functor("edge", 2) in prog.predicates
-    c0, c1 = prog.clauses(functor("path", 2))
-    assert (c0.source_index, c1.source_index) == (0, 1)
-    assert len(c0.body) == 2 and len(c1.body) == 1
+    c0, c1 = prog.clauses(functor("path", 2))  # in source order
+    assert [g.functor.name for g in c0.body] == ["edge", "path"]
+    assert [g.functor.name for g in c1.body] == ["edge"]
 
 
 def test_parse_single_fact():
@@ -255,13 +255,6 @@ def test_prop_roundtrip(text):
     prog1 = parse_program(text)
     prog2 = parse_program(program_to_text(prog1))
     assert program_sig(prog1) == program_sig(prog2)
-
-
-@given(_program_text)
-def test_prop_clause_order_dense(text):
-    prog = parse_program(text)
-    for cs in prog.predicates.values():
-        assert [c.source_index for c in cs] == list(range(len(cs)))
 
 
 # --- property: mutated programs end in a Program or a ParseError -------

@@ -100,7 +100,7 @@ def test_load_looping_only():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2])
     f.round_start = 2  # no answer is new in this round
-    ts.mark_looping_solution(f, f.solution_order[0])
+    f.mark_looping_solution(f.solution_order[0])
     got = [solution_term(n).args[0] for n in drs_selection(f)]
     assert got == [1]
 
@@ -108,7 +108,7 @@ def test_load_looping_only():
 def test_load_looping_plus_round_deduplicated():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2, 3])
-    ts.mark_looping_solution(f, f.solution_order[2])
+    f.mark_looping_solution(f.solution_order[2])
     f.round_start = 2
     got = [solution_term(n).args[0] for n in drs_selection(f)]
     assert got == [3]
@@ -129,9 +129,11 @@ def test_mark_looping_solution_idempotent():
     ts, f = make_frame()
     insert_ints(ts, f, [1])
     n = f.solution_order[0]
-    ts.mark_looping_solution(f, n)
-    ts.mark_looping_solution(f, n)
-    assert n.looping
+    f.mark_looping_solution(n)
+    f.mark_looping_solution(n)
+    assert f.looping_solutions == {0}  # the answer's ordinal, held once
+    with pytest.raises(TablingInvariantError, match="^looping mark on a non-solution node$"):
+        f.mark_looping_solution(f.sol_func_node)
 
 
 def test_begin_round_resets_marker():
@@ -141,11 +143,11 @@ def test_begin_round_resets_marker():
     f.round_start = 0
     f.next_alternative = 2
     eng.clock = 7
-    eng._begin_round(f, first_round=False)
+    eng._begin_round(f)
     # the answer stored before the round is not new in it
     assert (f.round_start, f.push_stamp) == (1, 7)
     assert drs_selection(f) == []
-    assert (f.next_alternative, f.alt_seq) == (0, (0, 1))
+    assert (f.next_alternative, tuple(f.alt_seq)) == (0, (0, 1))
 
 
 def test_completed_table_keeps_its_answers():
@@ -186,7 +188,7 @@ def test_dump_golden():
     fb, _ = ts.subgoal_check_insert(s("b", Var()))
     ts.solution_check_insert(s("a", 1), fa)
     ts.solution_check_insert(s("a", 2), fa)
-    ts.mark_looping_solution(fa, fa.solution_order[1])
+    fa.mark_looping_solution(fa.solution_order[1])
     fb.looping_alternatives.setdefault(0)
     fa.set_state(EVALUATING)
     fa.set_state(COMPLETE)
@@ -262,7 +264,7 @@ def test_prop_looping_plus_round_is_subsequence_of_all(vals, data):
     n = len(frame.solution_order)
     for node in frame.solution_order:
         if data.draw(st.booleans()):
-            ts.mark_looping_solution(frame, node)
+            frame.mark_looping_solution(node)
     start = data.draw(st.integers(0, n))  # n: no answer new in the round
     frame.round_start = start
     all_sols = [n_.ordinal for n_ in frame.solution_order]
@@ -271,4 +273,4 @@ def test_prop_looping_plus_round_is_subsequence_of_all(vals, data):
     assert all(x in it for x in some)  # subsequence check
     assert len(set(some)) == len(some)
     assert set(range(start, n)) <= set(some)
-    assert all(x >= start or frame.solution_order[x].looping for x in some)
+    assert all(x >= start or x in frame.looping_solutions for x in some)
