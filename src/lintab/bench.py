@@ -240,13 +240,6 @@ def oracle_reachability(edges: list[tuple[int, int]]) -> set[tuple[int, int]]:
     return closure
 
 
-def _answer_pairs(engine: Engine, raw: list) -> set[tuple[int, int]]:
-    pairs = set()
-    for t in engine.answers(raw):
-        pairs.add((t.args[0], t.args[1]))
-    return pairs
-
-
 def run_matrix(spec: BenchSpec) -> BenchReport:
     """Run every configured strategy on the spec's program and graph.
 
@@ -273,12 +266,14 @@ def run_matrix(spec: BenchSpec) -> BenchReport:
             )
             continue
         wall = (time.perf_counter() - t0) * 1000.0
-        got = _answer_pairs(engine, raw)
-        if got != expected:
+        answers = engine.answers(raw)
+        got = {(t.args[0], t.args[1]) for t in answers}
+        # a duplicated answer is as wrong as a missing one
+        if len(got) != len(answers) or got != expected:
             raise RuntimeError(
                 f"answer set mismatch vs oracle: shape={spec.graph.shape} depth={spec.graph.depth} "
                 f"variant={spec.variant} config={config.label} "
-                f"got {len(got)} pairs, expected {len(expected)}"
+                f"got {len(got)} pairs in {len(answers)} answers, expected {len(expected)}"
             )
         report.cells.append(BenchCell(config, stats, len(got), wall))
     return report

@@ -39,6 +39,7 @@ from .tablespace import (
     TableSpace,
     TablingInvariantError,
     TrieNode,
+    descend,
     drs_selection,
     solution_term,
 )
@@ -651,7 +652,7 @@ class Engine:
                 if not _ground_atomic(a0) or deref(sol.args[1]) is not cv:
                     return (PLAN_GENERAL,)
                 parent = entry.frame
-                xnode = parent.sol_func_node.child(a0)
+                xnode = descend(parent.sol_func_node, a0)
                 return (PLAN_TABLE, parent, xnode, tuple(bumps))
             return (PLAN_GENERAL,)
         return (PLAN_GENERAL,)

@@ -1,21 +1,20 @@
 """Table space: subgoal trie, per-subgoal solution tries, subgoal frames.
 
-Both tries share one node type.  A node is terminal when it carries an
-ordinal: in the subgoal trie the frame id, its index in ``frames``; in a
-solution trie the insertion ordinal, its index in ``solution_order``.
-Canonical token streams are preorder walks, so no terminal is a proper
-ancestor of another terminal; solution terminals are always leaves.
-
-Nodes keep a parent pointer instead of storing the inserted term, which
-matters at the scale of millions of stored solutions: a solution is
-rebuilt on demand by walking terminal-to-root.
+Both tries share one node type and are keyed by the term's preorder token
+stream (``term_tokens``), one token per level.  A node is terminal when it
+carries an ordinal: the frame id (index in ``frames``) in the subgoal trie,
+the insertion ordinal (index in ``solution_order``) in a solution trie;
+solution terminals are always leaves.  ``descend`` checks/inserts in one
+pass, stepping into or creating each token's child as it derefs the term.
+Nodes keep a parent pointer instead of the term, which matters at millions
+of stored solutions: ``solution_term`` rebuilds a term from its terminal.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .terms import Functor, term_to_str, term_tokens, tokens_to_term
+from .terms import Functor, Struct, Var, deref, term_to_str
 
 READY = "ready"
 EVALUATING = "evaluating"
@@ -48,30 +47,70 @@ class TrieNode:
         self.parent = parent
         self.ordinal: Optional[int] = None
 
-    def child(self, token) -> "TrieNode":
-        ch = self.children
-        if ch is None:
-            ch = self.children = {}
-            node = None
+
+def descend(node: TrieNode, t) -> TrieNode:
+    """Walk ``t``'s preorder token stream down from ``node``, creating the
+    children it lacks; return the last token's node.  Unbound variables are
+    numbered by first appearance, as in ``term_tokens``."""
+    varmap = None
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        while type(x) is Var and x.ref is not None:
+            x = x.ref
+        tx = type(x)
+        if tx is Struct:
+            tok = x.functor
+            stack += x.args[::-1]
+        elif tx is Var:
+            if varmap is None:
+                varmap = {}
+            tok = varmap.get(x)
+            if tok is None:
+                tok = varmap[x] = ("v", len(varmap))
         else:
-            node = ch.get(token)
-        if node is None:
-            node = TrieNode(token, self)
-            ch[token] = node
-        return node
-
-
-def terminal_tokens(node: TrieNode) -> tuple:
-    toks = []
-    while node.parent is not None:
-        toks.append(node.token)
-        node = node.parent
-    toks.reverse()
-    return tuple(toks)
+            tok = x
+        ch = node.children
+        if ch is None:
+            ch = node.children = {}
+            nxt = None
+        else:
+            nxt = ch.get(tok)
+        if nxt is None:
+            nxt = ch[tok] = TrieNode(tok, node)
+        node = nxt
+    return node
 
 
 def solution_term(node: TrieNode):
-    return tokens_to_term(terminal_tokens(node))
+    """Rebuild the term a terminal of either trie stands for, one fresh Var
+    per variable token.  Read terminal-to-root, the preorder stream is
+    postfix: a functor of arity n pops its n arguments, the first on top."""
+    stack: list = []
+    fresh: dict = {}
+    while node.parent is not None:
+        tok = node.token
+        tt = type(tok)
+        if tt is Functor and tok.arity:
+            n = tok.arity
+            if n == len(stack):
+                # the whole stack is its arguments, as for the outermost functor
+                stack.reverse()
+                stack = [Struct(tok, tuple(stack))]
+            else:
+                args = tuple(stack[: -n - 1 : -1])
+                del stack[-n:]
+                stack.append(Struct(tok, args))
+        elif tt is tuple:
+            v = fresh.get(tok)
+            if v is None:
+                v = fresh[tok] = Var()
+            stack.append(v)
+        else:
+            stack.append(tok)
+        node = node.parent
+    (t,) = stack
+    return t
 
 
 def drs_selection(frame: SubgoalFrame) -> list[TrieNode]:
@@ -86,7 +125,7 @@ class SubgoalFrame:
     __slots__ = (
         "fid",
         "functor",
-        "call_tokens",
+        "call_node",
         "state",
         "solution_trie_root",
         "sol_func_node",
@@ -101,14 +140,14 @@ class SubgoalFrame:
         "flat_pairs",
     )
 
-    def __init__(self, functor: Functor, call_tokens: tuple, fid: int = 0):
+    def __init__(self, functor: Functor, call_node: TrieNode, fid: int = 0):
         self.fid = fid
         self.functor = functor
-        self.call_tokens = call_tokens
+        self.call_node = call_node  # the call's subgoal-trie terminal
         self.state = READY
         self.solution_trie_root = TrieNode(None, None)
         # every solution starts with the functor token; pre-create that level
-        self.sol_func_node = self.solution_trie_root.child(functor)
+        self.sol_func_node = descend(self.solution_trie_root, functor)
         self.solution_order: list[TrieNode] = []
         # table size when the current round began: the answers at and past
         # this ordinal are the round's new ones
@@ -136,7 +175,7 @@ class SubgoalFrame:
         self.looping_solutions.add(node.ordinal)
 
     def subgoal_str(self) -> str:
-        return term_to_str(tokens_to_term(self.call_tokens))
+        return term_to_str(solution_term(self.call_node))
 
     def __repr__(self) -> str:
         return f"<frame {self.subgoal_str()} {self.state}>"
@@ -150,31 +189,32 @@ class TableSpace:
         self.frames: list[SubgoalFrame] = []
 
     def subgoal_check_insert(self, call) -> tuple[SubgoalFrame, bool]:
-        tokens = term_tokens(call)
-        node = self.subgoal_root
-        for tok in tokens:
-            node = node.child(tok)
+        node = descend(self.subgoal_root, call)
         if node.ordinal is not None:
             return self.frames[node.ordinal], True
-        f = tokens[0]
+        c = deref(call)
+        f = c.functor if type(c) is Struct else c
         if type(f) is not Functor:
             raise TablingInvariantError("tabled call must be atom or compound")
         node.ordinal = len(self.frames)
-        frame = SubgoalFrame(f, tokens, node.ordinal)
+        frame = SubgoalFrame(f, node, node.ordinal)
         self.frames.append(frame)
         return frame, False
 
     def solution_check_insert(self, sol, frame: SubgoalFrame) -> bool:
         if frame.state == COMPLETE:
             raise TablingInvariantError("insert into complete table")
-        tokens = term_tokens(sol)
-        if len(tokens) != 3 or type(tokens[1]) is tuple or type(tokens[2]) is tuple:
-            frame.flat_pairs = False
-        node = frame.solution_trie_root
-        for tok in tokens:
-            node = node.child(tok)
+        root = frame.solution_trie_root
+        node = descend(root, sol)
         if node.ordinal is not None:
             return False
+        if frame.flat_pairs:
+            # a flat pair's stream is three tokens, the last two not variables
+            top = node.parent.parent
+            frame.flat_pairs = (
+                top is not None and top.parent is root
+                and type(node.parent.token) is not tuple and type(node.token) is not tuple
+            )
         node.ordinal = len(frame.solution_order)
         frame.solution_order.append(node)
         return True

@@ -14,7 +14,7 @@ hashing in the hot path.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 _FUNCTOR_TABLE: dict[tuple[str, int], "Functor"] = {}
 
@@ -148,42 +148,6 @@ def term_tokens(t, varmap: Optional[dict] = None) -> tuple:
         else:
             out.append(x)
     return tuple(out)
-
-
-def tokens_to_term(tokens: Iterable):
-    """Rebuild a term from a preorder token stream, with fresh variables."""
-    varmap: dict[int, Var] = {}
-    frames: list[list] = []  # [functor, collected args]
-    result = None
-    for tok in tokens:
-        tt = type(tok)
-        if tt is tuple:
-            k = tok[1]
-            term = varmap.get(k)
-            if term is None:
-                term = Var()
-                varmap[k] = term
-        elif tt is Functor:
-            if tok.arity == 0:
-                term = tok
-            else:
-                frames.append([tok, []])
-                continue
-        else:
-            term = tok
-        while frames:
-            head, args = frames[-1]
-            args.append(term)
-            if len(args) < head.arity:
-                term = None
-                break
-            frames.pop()
-            term = Struct(head, tuple(args))
-        if term is not None:
-            result = term
-    if frames or result is None:
-        raise ValueError("malformed token stream")
-    return result
 
 
 def fresh_copy(t, mapping: Optional[dict] = None):

@@ -12,7 +12,7 @@ from lintab.bench import (
     parse_structured,
     run_matrix,
 )
-from lintab.engine import ALL_CONFIGS, StrategyConfig
+from lintab.engine import ALL_CONFIGS, Engine, StrategyConfig
 from lintab.reader import parse_program
 
 
@@ -115,6 +115,14 @@ def test_matrix_small_grid_all_configs():
     drs = report.cell(StrategyConfig(drs=True))
     assert dra.stats.alts_explored <= std.stats.alts_explored
     assert drs.stats.nonleader_sols_consumed <= std.stats.nonleader_sols_consumed
+
+
+def test_matrix_rejects_duplicated_answers(monkeypatch):
+    answers = Engine.answers
+    monkeypatch.setattr(Engine, "answers", lambda self, raw: answers(self, raw) * 2)
+    spec = BenchSpec(GraphConfig("grid", 3), configs=(StrategyConfig(),))
+    with pytest.raises(RuntimeError, match="^answer set mismatch .* got 81 pairs in 162 answers"):
+        run_matrix(spec)
 
 
 def test_matrix_pyramid_no_reevaluation_rounds():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lintab.tablespace import (
     COMPLETE,
@@ -12,7 +12,6 @@ from lintab.tablespace import (
     TablingInvariantError,
     drs_selection,
     solution_term,
-    terminal_tokens,
 )
 from lintab.engine import Engine, StrategyConfig
 from lintab.reader import parse_program, parse_query
@@ -21,6 +20,15 @@ from lintab.terms import Struct, Var, atom, functor, term_tokens
 
 def s(name, *args):
     return Struct(functor(name, len(args)), tuple(args))
+
+
+def terminal_tokens(node):
+    """Reference: the token stream a trie node stands for, read root-first."""
+    toks = []
+    while node.parent is not None:
+        toks.append(node.token)
+        node = node.parent
+    return tuple(reversed(toks))
 
 
 def make_frame(ts=None, call=None):
@@ -213,6 +221,7 @@ _skel = st.recursive(
 
 
 def build(skel, pool):
+    """Term from a skeleton; ``pool`` shares variables across the term."""
     if isinstance(skel, int):
         return skel
     if skel[0] == "atom":
@@ -221,7 +230,7 @@ def build(skel, pool):
         if skel[1] not in pool:
             pool[skel[1]] = Var()
         return pool[skel[1]]
-    args = [build(a, {}) for a in skel[1]]
+    args = [build(a, pool) for a in skel[1]]
     return Struct(functor("f", len(args)), tuple(args))
 
 
@@ -233,23 +242,54 @@ def count_terminals(node):
     return n
 
 
-@given(st.lists(_skel, min_size=1, max_size=20))
-def test_prop_trie_bijection(skels):
+def vars_of(t):
+    found, stack = set(), [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is Var:
+            found.add(x)
+        elif type(x) is Struct:
+            stack.extend(x.args)
+    return found
+
+
+X, Y = ("var", 0), ("var", 1)
+
+
+@given(st.lists(st.lists(_skel, max_size=3), min_size=1, max_size=20))
+@example([[X, X], [X, Y], [("struct", [X]), X], [("struct", [X]), Y], [], [Y, Y], []])
+@example([[1, ("atom", "a")], [2, X], [1, ("atom", "a")]])
+def test_prop_trie_bijection(arg_lists):
+    # term_tokens defines variant identity; both tries must agree with it
     ts = TableSpace()
-    frame, _ = ts.subgoal_check_insert(s("p", Var()))
-    seen = set()
-    for sk in skels:
-        t = s("p", build(sk, {}))
+    frames, seen, flat = {}, set(), True
+    sols = None  # the first call's frame takes every term as a solution
+    for skels in arg_lists:
+        pool = {}  # one variable may occur in several arguments
+        args = [build(sk, pool) for sk in skels]
+        t = s("p", *args) if args else atom("p")
         key = term_tokens(t)
-        is_new = ts.solution_check_insert(t, frame)
-        assert is_new == (key not in seen)
+        frame, existed = ts.subgoal_check_insert(t)
+        assert existed == (key in frames)
+        assert frames.setdefault(key, frame) is frame
+        if sols is None:
+            sols = frame
+        assert ts.solution_check_insert(t, sols) == (key not in seen)
         seen.add(key)
-    assert count_terminals(frame.solution_trie_root) == len(seen)
-    assert len(frame.solution_order) == len(seen)
-    # stored and reported canonical forms coincide
-    assert {term_tokens(solution_term(n)) for n in frame.solution_order} == seen
-    for n in frame.solution_order:
-        assert terminal_tokens(n) == term_tokens(solution_term(n))
+        flat = flat and len(key) == 3 and type(key[1]) is not tuple and type(key[2]) is not tuple
+        assert sols.flat_pairs == flat
+    assert len(ts.frames) == len(frames) == count_terminals(ts.subgoal_root)
+    for key, frame in frames.items():
+        assert terminal_tokens(frame.call_node) == key
+        assert term_tokens(solution_term(frame.call_node)) == key
+    assert count_terminals(sols.solution_trie_root) == len(sols.solution_order) == len(seen)
+    assert {terminal_tokens(n) for n in sols.solution_order} == seen
+    for n in sols.solution_order:
+        t = solution_term(n)
+        toks = terminal_tokens(n)
+        assert term_tokens(t) == toks
+        # one Var object per variable token, however often it repeats
+        assert len(vars_of(t)) == len({tok for tok in toks if type(tok) is tuple})
 
 
 @given(

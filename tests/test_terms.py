@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lintab.terms import (
+    Functor,
     Struct,
     Trail,
     Var,
@@ -11,13 +12,49 @@ from lintab.terms import (
     functor,
     term_to_str,
     term_tokens,
-    tokens_to_term,
     unify,
 )
 
 
 def s(name, *args):
     return Struct(functor(name, len(args)), tuple(args))
+
+
+def tokens_to_term(tokens):
+    """Reference decoder: rebuild a term from a preorder token stream, with
+    fresh variables, reading it front to back."""
+    varmap = {}
+    frames = []  # [functor, collected args]
+    result = None
+    for tok in tokens:
+        tt = type(tok)
+        if tt is tuple:
+            k = tok[1]
+            term = varmap.get(k)
+            if term is None:
+                term = Var()
+                varmap[k] = term
+        elif tt is Functor:
+            if tok.arity == 0:
+                term = tok
+            else:
+                frames.append([tok, []])
+                continue
+        else:
+            term = tok
+        while frames:
+            head, args = frames[-1]
+            args.append(term)
+            if len(args) < head.arity:
+                term = None
+                break
+            frames.pop()
+            term = Struct(head, tuple(args))
+        if term is not None:
+            result = term
+    if frames or result is None:
+        raise ValueError("malformed token stream")
+    return result
 
 
 def test_functor_interning():
