@@ -3,9 +3,13 @@
 
 For the pyramid-80, pyramid-200 and grid-40 programs of ``lintab.bench``
 (the tabled path/2 program plus its edge/2 facts) it prints the minimum
-over REPS runs of ``parse_program`` and of ``Engine(program)``, and the
-minimum over REPS runs of one in-process ``lintab run`` on pyramid-80 with
-the bound query ``path(2450,Z).`` (row 70, column 35, the row the cli-run
+over REPS runs of ``parse_program`` and of ``Engine(program)``.  Two more
+cells vary pyramid-80: ``pyramid-80-atoms`` names its nodes by atoms
+(``n<id>``) instead of integers, and ``pyramid-80-slds`` puts its facts
+under the sld-instrumented path program, whose rules and 0-ary facts the
+reader's ground-fact fast path declines.  Last comes the minimum over
+REPS runs of one in-process ``lintab run`` on pyramid-80 with the bound
+query ``path(2450,Z).`` (row 70, column 35, the row the cli-run
 workload of perfbench asks from).  The collector runs untimed before each
 timed run.  The script takes no options; run it on two checkouts to
 compare them:
@@ -37,6 +41,15 @@ def program_text(shape: str, depth: int) -> str:
     return make_path_program() + edge_facts(gen_edges(GraphConfig(shape, depth)))
 
 
+def programs():
+    """(cell name, program text) for every cell."""
+    for shape, depth in GRAPHS:
+        yield f"{shape}-{depth}", program_text(shape, depth)
+    edges = gen_edges(GraphConfig("pyramid", 80))
+    yield "pyramid-80-atoms", make_path_program() + "".join(f"edge(n{a},n{b}).\n" for a, b in edges)
+    yield "pyramid-80-slds", make_path_program(with_slds=True) + edge_facts(edges)
+
+
 def min_time(fn) -> float:
     best = float("inf")
     for _ in range(REPS):
@@ -66,10 +79,9 @@ def cli_run_s(text: str) -> float:
 
 def main() -> int:
     cells = {}
-    for shape, depth in GRAPHS:
-        text = program_text(shape, depth)
+    for name, text in programs():
         program = parse_program(text)
-        cells[f"{shape}-{depth}"] = {
+        cells[name] = {
             "clauses": sum(len(cs) for cs in program.predicates.values()),
             "parse_s": min_time(lambda: parse_program(text)),
             "engine_init_s": min_time(lambda: Engine(program)),

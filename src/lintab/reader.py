@@ -163,11 +163,41 @@ def _goal_functor(t) -> Functor:
     return t if type(t) is Functor else t.functor
 
 
+def _ground_fact(toks: list, i: int):
+    """``name(c1, ..., cn).`` at token ``i``, each ``ci`` an integer or a plain atom, as
+    ``(name, args, index past the '.')``; else None, and the general parser reads from ``i``."""
+    if not toks[i][:1].islower() or toks[i + 1] != "(":
+        return None
+    args = []
+    j = i + 2
+    while True:
+        t = toks[j]
+        if t.isdecimal():
+            args.append(int(t))
+        elif t[:1].islower():
+            args.append(functor(t, 0))
+        else:
+            return None  # also at the end of the text, so t has a next token
+        j += 2
+        if toks[j - 1] != ",":
+            ok = toks[j - 1] == ")" and toks[j] == "."
+            return (toks[i], tuple(args), j + 1) if ok else None
+
+
 def parse_program(text: str) -> Program:
     p = _Parser(text)
     prog = Program()
     body_preds: list[Functor] = []
+    fact_f = None  # functor of the last fast-path fact; it and `facts` are reused while it repeats
     while p.toks[p.i]:  # '' is the end of the text
+        fact = _ground_fact(p.toks, p.i)
+        if fact is not None:
+            name, args, p.i = fact
+            if fact_f is None or fact_f.name != name or fact_f.arity != len(args):
+                fact_f = functor(name, len(args))
+                facts = prog.predicates.setdefault(fact_f, [])
+            facts.append(Clause(Struct(fact_f, args), ()))
+            continue
         if p.toks[p.i] == ":-":
             p.next()
             kw = p.i

@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from lintab import reader
+from lintab.engine import Engine
 from lintab.reader import ParseError, parse_program, parse_query, program_to_text
-from lintab.terms import Functor, Struct, Var, functor, term_tokens
+from lintab.terms import Functor, Struct, Var, functor, term_to_str, term_tokens
 
 PATH_PROG = (
     ":- table path/2.\n"
@@ -107,6 +109,13 @@ ERROR_TABLE = [
     ("query", "p(X). q(Y).", "trailing text after query", 1, 7),
     ("query", "p(X) :- q(X).", "expected '.'", 1, 6),
     ("query", "p(#X).", "unexpected character '#'", 1, 3),
+    # malformed facts that the ground-fact fast path starts and hands back
+    ("program", "e(1,2)", "expected ':-' or '.'", 1, 7),
+    ("program", "e(1,2) e(3,4).", "expected ':-' or '.'", 1, 8),
+    ("program", "e(1,,2).", "expected a term", 1, 5),
+    ("program", "e(1 2).", "expected ')'", 1, 5),
+    ("program", "e(1,2", "expected ')'", 1, 6),
+    ("program", "e(1,2).\ne(3,#).", "unexpected character '#'", 2, 5),
 ]
 
 
@@ -262,15 +271,21 @@ def test_prop_roundtrip(text):
 _MUTANT_CHARS = st.sampled_from(list("#²٣é':%\n\r\\ (),.-_aX1"))
 
 
-@given(_program_text, st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 10**6), _MUTANT_CHARS)
-def test_prop_mutated_program_parses_or_raises(text, op, at, ch):
+_MUTATION = st.sampled_from(["insert", "delete", "replace"])
+
+
+def _mutate(text, op, at, ch):
     k = at % (len(text) + 1)
     if op == "insert":
-        text = text[:k] + ch + text[k:]
-    elif op == "delete":
-        text = text[:k] + text[k + 1:]
-    else:
-        text = text[:k] + ch + text[k + 1:]
+        return text[:k] + ch + text[k:]
+    if op == "delete":
+        return text[:k] + text[k + 1:]
+    return text[:k] + ch + text[k + 1:]
+
+
+@given(_program_text, _MUTATION, st.integers(0, 10**6), _MUTANT_CHARS)
+def test_prop_mutated_program_parses_or_raises(text, op, at, ch):
+    text = _mutate(text, op, at, ch)
     for parse in (parse_program, parse_query):
         try:
             parse(text)
@@ -280,3 +295,103 @@ def test_prop_mutated_program_parses_or_raises(text, op, at, ch):
             msg = str(e).split(": ", 1)[1]
             if msg.startswith("unexpected character"):
                 assert msg == f"unexpected character {line[e.col - 1]!r}"
+
+
+# --- the ground-fact fast path against the general parser ---------------
+
+@pytest.mark.parametrize("text,fact", [
+    ("e(1,a).", ("e", (1, functor("a", 0)))),
+    ("edge ( 12 ,\n% c\n 7 ) .", ("edge", (12, 7))),
+    ("p(٣).", ("p", (3,))),
+    ("e.", None),
+    ("e().", None),
+    ("e(1,X).", None),
+    ("e(1,_).", None),
+    ("e('a').", None),
+    ("'e'(1).", None),
+    ("e(f(1)).", None),
+    ("e(1) :- q.", None),
+    ("e(1,2)", None),
+    ("e(1,2", None),
+    ("e(1,,2).", None),
+    ("e(1 2).", None),
+    ("Ee(1).", None),
+    (":- table e/1.", None),
+    ("", None),
+])
+def test_ground_fact_shape(text, fact):
+    toks = reader._TOKEN_RE.findall(text)
+    got = reader._ground_fact(toks, 0)
+    if fact is None:
+        assert got is None
+    else:
+        assert got == (*fact, len(toks) - 1)
+
+
+def _outcome(text):
+    try:
+        prog = parse_program(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+    return program_sig(prog), [repr(f) for f in prog.predicates]
+
+
+def _general_outcome(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reader, "_ground_fact", lambda toks, i: None)
+        return _outcome(text)
+
+
+_LAYOUT = st.sampled_from(["", "", " ", "\n", "\t", " % note\n", "\n% a line\n"])
+_fact_arg = st.integers(0, 10**4).map(str) | st.sampled_from(
+    ["a", "b", "nil", "x1", "aB_2", "'a'", "'hello world'", "'q\\'d'"]
+)
+
+
+@st.composite
+def _fact_program_text(draw):
+    out = [draw(_LAYOUT)]
+    kinds = st.sampled_from(["fact"] * 5 + ["rule", "table"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=12)):
+        if kind == "fact":
+            args = draw(st.lists(_fact_arg, max_size=3))
+            toks = [draw(st.sampled_from(["e", "edge", "p"]))]
+            if args:
+                seps = [","] * (len(args) - 1) + [")"]
+                toks += ["(", *(t for pair in zip(args, seps) for t in pair)]
+            toks.append(".")
+        elif kind == "rule":
+            toks = [draw(_clause_text)]
+        else:
+            toks = [":- table ", draw(st.sampled_from(["e/2", "edge/2", "p/1"])), "."]
+        out += [t + draw(_LAYOUT) for t in toks]
+    return "".join(out)
+
+
+@given(_fact_program_text())
+def test_prop_fast_path_matches_general_parser(text):
+    assert _outcome(text) == _general_outcome(text)
+
+
+@given(_fact_program_text(), _MUTATION, st.integers(0, 10**6), _MUTANT_CHARS)
+def test_prop_fast_path_matches_general_parser_on_mutants(text, op, at, ch):
+    text = _mutate(text, op, at, ch)
+    assert _outcome(text) == _general_outcome(text)
+    toks = reader._TOKEN_RE.findall(text)
+    for i in range(len(toks)):  # the fast path raises at no token
+        reader._ground_fact(toks, i)
+
+
+# --- property: deeply nested terms through reader, engine and printer --
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 10**4), st.booleans())
+@example(10**4, False)
+@example(10**4, True)
+def test_prop_deeply_nested_fact_round_trips(depth, tabled):
+    deep = "f(" * depth + "a" + ")" * depth
+    prog = parse_program((":- table p/1.\n" if tabled else "") + f"p({deep}).\n")
+    for query in ("p(X).", f"p({deep})."):
+        engine = Engine(prog)
+        raw, _ = engine.run_query(parse_query(query))
+        assert [term_to_str(a) for a in engine.answers(raw)] == [f"p({deep})"]
