@@ -25,8 +25,10 @@ Three optimizations combine freely:
 
 from __future__ import annotations
 
+import gc
 import logging
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from .reader import Program
@@ -85,6 +87,21 @@ class EvalStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic collector off, if it was on.  A run
+    makes no cyclic garbage (its tables are live until the table space
+    unlinks them, and the trail undoes every binding), so the collector
+    would only walk the growing tables over and over."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # continuation markers -------------------------------------------------
@@ -277,7 +294,13 @@ class Engine:
         cont = self._collect_cell or (_COLLECT, None)
         for g in reversed(goals):
             cont = (g, cont)
-        self._run(cont)
+        with _collector_paused():
+            try:
+                self._run(cont)
+            finally:
+                # a run that raises leaves its bindings on the trail; undo
+                # them, so the caller's query terms are unbound again
+                self.trail.undo_to(0)
         if self.gen_stack:
             raise TablingInvariantError("generator stack not empty at exit")
         for f in self.ts.frames:
@@ -286,7 +309,8 @@ class Engine:
         return self.raw_answers, self.stats
 
     def answers(self, raw) -> list:
-        return [solution_term(a) if type(a) is TrieNode else a for a in raw]
+        with _collector_paused():
+            return [solution_term(a) if type(a) is TrieNode else a for a in raw]
 
     # -- the machine ------------------------------------------------------
 
@@ -693,38 +717,38 @@ class Engine:
         _, parent, xnode, bumps = cp.plan
         src = cp.frame
         sols = cp.sols
-        sfn = src.sol_func_node
+        start = cp.idx
+        end = len(sols)
+        # a table of f(atomic, atomic) answers needs no per-answer shape check
+        if not src.flat_pairs:
+            sfn = src.sol_func_node
+            for i in range(start, end):
+                node = sols[i]
+                if type(node.token) is tuple or node.parent.parent is not sfn:
+                    # var or compound argument: finish on the general path
+                    end = i
+                    cp.plan = (PLAN_GENERAL,)
+                    break
+        cp.idx = end
         porder = parent.solution_order
         p0 = len(porder)
         pch = xnode.children
         if pch is None:
             pch = xnode.children = {}
-        pget = pch.get
-        # a table of f(atomic, atomic) answers needs no per-answer shape check
-        check = not src.flat_pairs
-        start = i = cp.idx
-        while i < len(sols):
-            node = sols[i]
-            z = node.token
-            if check and (type(z) is tuple or node.parent.parent is not sfn):
-                # var or compound argument: finish on the general path
-                cp.plan = (PLAN_GENERAL,)
-                break
-            i += 1
-            if pget(z) is None:
+        for z in [z for node in sols[start:end] if (z := node.token) not in pch]:
+            if z not in pch:  # a token met twice in one batch is stored once
                 nn = TrieNode(z, xnode)
                 nn.ordinal = len(porder)
                 porder.append(nn)
                 pch[z] = nn
-        cp.idx = i
         self.stats.answers_emitted += len(porder) - p0
-        if bumps and i > start:
+        if bumps and end > start:
             sc = self.stats.sld_calls
             for key in bumps:
-                sc[key] = sc.get(key, 0) + (i - start)
+                sc[key] = sc.get(key, 0) + (end - start)
         if self.events is not None:
             via = _role(cp)
-            for node in sols[start:i]:
+            for node in sols[start:end]:
                 o = pch[node.token].ordinal
                 self.events.append(f"consume g{src.fid} {node.ordinal} via={via}")
                 self.events.append(f"new_solution g{parent.fid} {o if o >= p0 else 'dup'}")

@@ -8,6 +8,8 @@ solution terminals are always leaves.  ``descend`` checks/inserts in one
 pass, stepping into or creating each token's child as it derefs the term.
 Nodes keep a parent pointer instead of the term, which matters at millions
 of stored solutions: ``solution_term`` rebuilds a term from its terminal.
+When a table space dies it unlinks its tries (``TableSpace.__del__``), so
+they are freed by reference counting rather than by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -218,6 +220,20 @@ class TableSpace:
         node.ordinal = len(frame.solution_order)
         frame.solution_order.append(node)
         return True
+
+    def __del__(self) -> None:
+        # Every trie is a chain of parent <-> children cycles.  Unlinking the
+        # children lets the tables die by reference counting, without waiting
+        # for a full collection; leaves keep their parent pointers, so a raw
+        # answer held past its engine still decodes.
+        stack = [self.subgoal_root]
+        stack += [f.solution_trie_root for f in self.frames]
+        while stack:
+            node = stack.pop()
+            ch = node.children
+            if ch is not None:
+                node.children = None
+                stack += ch.values()
 
     def dump(self) -> str:
         """Deterministic text rendering, one frame per block."""

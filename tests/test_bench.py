@@ -156,6 +156,15 @@ def test_matrix_budget_error_isolated_per_cell():
     assert all(c.stats is None and c.answer_count is None for c in report.cells)
 
 
+def test_matrix_cells_after_a_budget_error_run_the_same_query():
+    # standard, drs and dra need more than 1,200 steps on grid-3; the cells
+    # after them must still answer the open query, not the one the stopped
+    # run had half bound
+    report = run_matrix(BenchSpec(GraphConfig("grid", 3), step_budget=1200))
+    assert {c.config.label for c in report.cells if c.error is not None} == {"standard", "drs", "dra"}
+    assert [c.answer_count for c in report.cells if c.error is None] == [81] * 5
+
+
 def test_structured_rendering_round_trips():
     spec = BenchSpec(GraphConfig("pyramid", 4), with_slds=True, configs=ALL_CONFIGS[:3])
     report = run_matrix(spec)

@@ -6,17 +6,25 @@ all four base strategies.  Larger cases are checked against a breadth-first
 reachability oracle that never touches the engine.
 """
 
+import gc
+import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lintab.bench import gen_edges, GraphConfig, make_path_program, edge_facts, oracle_reachability
-from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded, StrategyConfig, solve
-from lintab.reader import parse_program, parse_query
-from lintab.tablespace import TablingInvariantError
-from lintab.terms import term_to_str
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+from counter_matrix import random_program  # noqa: E402
+from lintab import engine as engine_module  # noqa: E402
+from lintab.bench import gen_edges, GraphConfig, make_path_program, edge_facts, oracle_reachability  # noqa: E402
+from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded, StrategyConfig, solve  # noqa: E402
+from lintab.reader import parse_program, parse_query  # noqa: E402
+from lintab.tablespace import TablingInvariantError  # noqa: E402
+from lintab.terms import term_to_str  # noqa: E402
 
 MUTUAL = """
 :- table a/1.
@@ -240,6 +248,45 @@ def test_step_budget_of_zero_and_of_the_exact_size():
     assert eng.steps == 1352
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), config=st.sampled_from(ALL_CONFIGS))
+@example(seed=1794, config=StrategyConfig())  # the exact budget stops with bindings left
+def test_prop_step_budgets_on_random_programs(seed, config):
+    # budgets 0, 1 and the exact step count stop the run with a clean
+    # error; one step more gives the unbounded run's answers and counters
+    text, query = random_program(random.Random(seed))
+    program, goals = parse_program(text), parse_query(query)
+    collector = gc.isenabled()
+    eng = Engine(program, config)
+    try:
+        raw, stats = eng.run_query(goals)
+    except (StepBudgetExceeded, TablingInvariantError):
+        raw = None
+    assume(raw is not None)
+    want = ([term_to_str(a) for a in eng.answers(raw)], stats.as_dict(), eng.steps)
+    steps = eng.steps
+    for budget in (0, 1, steps):
+        eng = Engine(program, config, step_budget=budget)
+        with pytest.raises(StepBudgetExceeded, match=f"^step budget of {budget} exceeded$"):
+            eng.run_query(goals)
+        assert gc.isenabled() is collector
+    eng = Engine(program, config, step_budget=steps + 1)
+    raw, stats = eng.run_query(goals)
+    assert ([term_to_str(a) for a in eng.answers(raw)], stats.as_dict(), eng.steps) == want
+
+
+def test_a_run_that_raises_leaves_the_query_unbound():
+    # a caller may run the same query terms again, as run_matrix does for
+    # the cells after one that ran out of steps
+    text = path_program(gen_edges(GraphConfig("grid", 3)))
+    goals = parse_query("path(X,Z).")
+    for budget in (5, 100):
+        eng = Engine(parse_program(text), StrategyConfig(), step_budget=budget)
+        with pytest.raises(StepBudgetExceeded):
+            eng.run_query(goals)
+        assert term_to_str(goals[0]) == "path(X,Z)"
+
+
 def test_watched_runs_keep_the_step_budget_verdict():
     # tracing observes the unwatched evaluation, step for step
     text = path_program(gen_edges(GraphConfig("grid", 3)))
@@ -460,3 +507,49 @@ def test_double_recursion_through_a_second_table(config):
 def test_drs_double_recursion_through_a_second_table(config):
     _, answers, _ = run(DRS_TWO_TABLES, "p(X,1).", config)
     assert answers == []
+
+
+# -- the cyclic collector ------------------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector(request):
+    """Set the collector on or off for the test, and put it back after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_run_query_and_answers_pause_and_restore_the_collector(collector, monkeypatch):
+    seen = []
+    real_run, real_decode = Engine._run, engine_module.solution_term
+
+    def run_spy(self, cont):
+        seen.append(("run", gc.isenabled()))
+        return real_run(self, cont)
+
+    def decode_spy(node):
+        seen.append(("decode", gc.isenabled()))
+        return real_decode(node)
+
+    monkeypatch.setattr(Engine, "_run", run_spy)
+    monkeypatch.setattr(engine_module, "solution_term", decode_spy)
+    eng = Engine(parse_program(path_program(gen_edges(GraphConfig("grid", 3)))))
+    raw, _ = eng.run_query(parse_query("path(X,Z)."))
+    assert gc.isenabled() is collector
+    assert len(eng.answers(raw)) == 81
+    assert gc.isenabled() is collector
+    assert seen == [("run", False)] + [("decode", False)] * 81
+
+
+def test_a_run_that_raises_restores_the_collector(collector):
+    text = path_program(gen_edges(GraphConfig("grid", 3)))
+    eng = Engine(parse_program(text), StrategyConfig(), step_budget=100)
+    with pytest.raises(StepBudgetExceeded):
+        eng.run_query(parse_query("path(X,Z)."))
+    assert gc.isenabled() is collector
+    eng = Engine(parse_program(DRS_TWO_TABLES), DRS_CONFIGS[0])
+    with pytest.raises(TablingInvariantError, match="not complete at exit"):
+        eng.run_query(parse_query("p(X,1)."))
+    assert gc.isenabled() is collector

@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+from lintab.bench import GraphConfig, edge_facts, gen_edges, make_path_program
 from lintab.tablespace import (
     COMPLETE,
     EVALUATING,
@@ -10,12 +13,13 @@ from lintab.tablespace import (
     SubgoalFrame,
     TableSpace,
     TablingInvariantError,
+    TrieNode,
     drs_selection,
     solution_term,
 )
-from lintab.engine import Engine, StrategyConfig
+from lintab.engine import ALL_CONFIGS, Engine, StrategyConfig
 from lintab.reader import parse_program, parse_query
-from lintab.terms import Struct, Var, atom, functor, term_tokens
+from lintab.terms import Struct, Var, atom, functor, term_to_str, term_tokens
 
 
 def s(name, *args):
@@ -314,3 +318,44 @@ def test_prop_looping_plus_round_is_subsequence_of_all(vals, data):
     assert len(set(some)) == len(some)
     assert set(range(start, n)) <= set(some)
     assert all(x >= start or x in frame.looping_solutions for x in some)
+
+
+# -- freeing the tables -----------------------------------------------------------
+
+
+@pytest.fixture
+def collector_off():
+    """Only reference counting frees objects while the test runs."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if was:
+        gc.enable()
+
+
+GRID3 = make_path_program() + edge_facts(gen_edges(GraphConfig("grid", 3)))
+
+
+def test_tables_die_by_reference_counting(collector_off):
+    program, query = parse_program(GRID3), parse_query("path(X,Z).")
+    kinds = (TrieNode, SubgoalFrame)
+    alive = [o for o in gc.get_objects() if type(o) in kinds]  # made by earlier tests
+    known = {id(o) for o in alive}
+    for config in ALL_CONFIGS:
+        engine = Engine(program, config)
+        raw, _ = engine.run_query(query)
+        assert len(engine.answers(raw)) == 81
+        assert any(type(o) in kinds for o in gc.get_objects())
+        del engine, raw
+        assert [o for o in gc.get_objects() if type(o) in kinds and id(o) not in known] == []
+
+
+def test_a_raw_answer_outlives_its_engine(collector_off):
+    engine = Engine(parse_program(GRID3))
+    raw, _ = engine.run_query(parse_query("path(X,Z)."))
+    assert raw and all(type(a) is TrieNode for a in raw)
+    want = [term_to_str(solution_term(a)) for a in raw]
+    del engine
+    assert raw[0].parent.children is None  # the tries are unlinked
+    assert [term_to_str(solution_term(a)) for a in raw] == want
