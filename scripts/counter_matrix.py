@@ -7,8 +7,8 @@ path(X,Z) and the bound query path(1,Z), all 8 strategy configurations;
 then the left-recursive path/2 on grid depth 2-8 under both queries and
 all 8 configurations; then a handful of small programs that reach
 paths the graph cells do not (mutual recursion, a 0-ary tabled
-predicate, non-atomic answers that force the batch delivery back onto
-the general path, compound edges, double recursion), each under its own
+predicate, a non-atomic answer whose tables deliver on the general
+plan, compound edges, double recursion), each under its own
 queries and all 8 configurations; then a fixed-seed block of random
 function-free programs (1-2 tabled binary predicates, 2-5 rules with 1-2
 body goals over them and e/2, 1-6 e/2 facts on nodes 1-4), each under

@@ -185,16 +185,13 @@ class _CP:
         "cont",
         "frame",
         "call",
-        "idx",
         "plan",
         "ns_cell",
         "window",
         "cur",
-        "clauses",
-        "facts",
         "c0",
         "c1",
-        "sols",
+        "alts",
         "table_len",
     )
 
@@ -204,16 +201,15 @@ class _CP:
         self.cont = cont
         self.frame = None
         self.call = None
-        self.idx = 0
         self.plan = None
         self.ns_cell = None
         self.window = None  # clock when the running clause (DRA) or answer (DRS) began
         self.cur = None  # that clause index or answer node
-        self.clauses = None
-        self.facts = None
         self.c0 = None
         self.c1 = None
-        self.sols = None  # the answers it delivers; None while it runs clauses
+        # an iterator over what is left to try: matching facts, clauses, or
+        # the answers it delivers (None while a tabled one runs clauses)
+        self.alts = None
         self.table_len = None  # table size when a non-leader starts consuming
 
 
@@ -356,7 +352,7 @@ class Engine:
                                 break
                             a0 = None  # bound: the index already matched it
                         cp = _CP(K_FACTS, len(trail), rest)
-                        cp.facts = facts
+                        cp.alts = iter(facts)
                         cp.c0 = a0
                         cp.c1 = deref(entry.args[1])
                         cps.append(cp)
@@ -364,7 +360,7 @@ class Engine:
                         break
                     cp = _CP(K_INTERIOR, len(trail), rest)
                     cp.call = entry
-                    cp.clauses = pred.clauses
+                    cp.alts = iter(pred.clauses)
                     cps.append(cp)
                     cont = None
                     break
@@ -379,8 +375,9 @@ class Engine:
                 raise TablingInvariantError(f"bad continuation entry {entry!r}")
 
             # FAIL: retry the youngest choice point.  Every path that adds
-            # steps ends here, so one check bounds calls, deliveries and
-            # inserts alike.
+            # steps ends here, so one check bounds calls, clauses, deliveries
+            # and the general plan's inserts alike (a table batch counts one
+            # step per delivered answer and none per insert).
             while cont is None:
                 if self.steps >= budget:
                     raise StepBudgetExceeded(f"step budget of {budget} exceeded")
@@ -401,15 +398,10 @@ class Engine:
         trail = self.trail
         mark = cp.mark
         trail.undo_to(mark)
-        facts = cp.facts
-        i = cp.idx
-        n = len(facts)
         c0 = cp.c0  # None when the call's first argument is bound
         c1 = cp.c1
         self.steps += 1
-        while i < n:
-            f0, f1 = facts[i]
-            i += 1
+        for f0, f1 in cp.alts:
             if c0 is not None:
                 c0.ref = f0
                 trail.append(c0)
@@ -417,10 +409,8 @@ class Engine:
             if type(x) is Var:
                 x.ref = f1
                 trail.append(x)
-                cp.idx = i
                 return cp.cont
             if x is f1 or x == f1:
-                cp.idx = i
                 return cp.cont
             trail.undo_to(mark)
         self.cps.pop()
@@ -428,12 +418,8 @@ class Engine:
 
     def _retry_interior(self, cp):
         trail = self.trail
-        clauses = cp.clauses
-        n = len(clauses)
-        while cp.idx < n:
+        for clause in cp.alts:
             trail.undo_to(cp.mark)
-            clause = clauses[cp.idx]
-            cp.idx += 1
             self.steps += 1
             cont = self._enter(cp.call, clause, cp.cont)
             if cont is not None:
@@ -511,12 +497,12 @@ class Engine:
         if cp.window is not None:
             d = self._min_event_depth_since(cp.window)
             if d is not None and d <= frame.stack_depth:
-                if cp.sols is None:
+                if cp.alts is None:
                     frame.looping_alternatives.setdefault(cp.cur)
                 else:
                     frame.mark_looping_solution(cp.cur)
             cp.window = None
-        while cp.sols is None:
+        while cp.alts is None:
             cont = self._try_alternatives(cp)
             if cont is not None:
                 return cont
@@ -637,17 +623,19 @@ class Engine:
     # -- deliveries ------------------------------------------------------------
 
     def _start_delivery(self, cp, sols: list) -> None:
-        cp.sols = sols
-        cp.idx = 0
-        cp.plan = self._make_plan(cp.call, cp.cont)
+        cp.alts = iter(sols)
+        cp.plan = self._make_plan(cp)
 
-    def _make_plan(self, call, cont):
+    def _make_plan(self, cp):
         """Classify the delivery continuation; batch plans run without
-        per-solution trail traffic."""
+        per-solution trail traffic.  A table batch needs a flat source
+        table; it takes the whole table at the first delivery, which
+        follows at once, so it never meets an answer it cannot insert."""
+        call, cont = cp.call, cp.cont
         if cont is self._collect_cell:
             # the query-level choice point streaming into the answer list
             return (PLAN_COLLECT,)
-        if type(call) is not Struct or len(call.args) != 2:
+        if not cp.frame.flat_pairs or type(call) is not Struct or len(call.args) != 2:
             return (PLAN_GENERAL,)
         if not _ground_atomic(deref(call.args[0])):
             return (PLAN_GENERAL,)
@@ -682,21 +670,21 @@ class Engine:
         return (PLAN_GENERAL,)
 
     def _deliver(self, cp):
-        """Hand the choice point's next answers to its continuation: the
-        rest of the list on a batch plan, one answer on the general plan.
+        """Hand the choice point's next answers to its continuation: all
+        the rest on a batch plan, one answer on the general plan.
         Steps and consumed solutions are counted here, one per answer: a
         generator whose frame is still on the generator stack is a
         non-leader handing its table to its caller."""
-        start = cp.idx
         tag = cp.plan[0]
-        if tag == PLAN_TABLE:
-            self._burst_table(cp)
-        elif tag == PLAN_COLLECT:
-            self._burst_collect(cp)
-        # a table burst that meets a non-atomic answer switches to general
-        cont = self._deliver_general(cp) if cp.plan[0] == PLAN_GENERAL else None
+        cont = None
+        if tag == PLAN_COLLECT:
+            n = self._burst_collect(cp)
+        elif tag == PLAN_TABLE:
+            n = self._burst_table(cp)
+        else:
+            cont = self._deliver_general(cp)
+            n = 0 if cont is None else 1
         nonleader = cp.kind == K_GENERATOR and cp.frame.stack_depth is not None
-        n = cp.idx - start
         if n:
             self.steps += n
             if nonleader:
@@ -713,61 +701,47 @@ class Engine:
         self.cps.pop()
         return None
 
-    def _burst_table(self, cp) -> None:
+    def _burst_table(self, cp) -> int:
         _, parent, xnode, bumps = cp.plan
-        src = cp.frame
-        sols = cp.sols
-        start = cp.idx
-        end = len(sols)
-        # a table of f(atomic, atomic) answers needs no per-answer shape check
-        if not src.flat_pairs:
-            sfn = src.sol_func_node
-            for i in range(start, end):
-                node = sols[i]
-                if type(node.token) is tuple or node.parent.parent is not sfn:
-                    # var or compound argument: finish on the general path
-                    end = i
-                    cp.plan = (PLAN_GENERAL,)
-                    break
-        cp.idx = end
+        sols = list(cp.alts)
         porder = parent.solution_order
         p0 = len(porder)
         pch = xnode.children
         if pch is None:
             pch = xnode.children = {}
-        for z in [z for node in sols[start:end] if (z := node.token) not in pch]:
+        for z in [z for node in sols if (z := node.token) not in pch]:
             if z not in pch:  # a token met twice in one batch is stored once
                 nn = TrieNode(z, xnode)
                 nn.ordinal = len(porder)
                 porder.append(nn)
                 pch[z] = nn
         self.stats.answers_emitted += len(porder) - p0
-        if bumps and end > start:
+        if bumps and sols:
             sc = self.stats.sld_calls
             for key in bumps:
-                sc[key] = sc.get(key, 0) + (end - start)
+                sc[key] = sc.get(key, 0) + len(sols)
         if self.events is not None:
             via = _role(cp)
-            for node in sols[start:end]:
+            for node in sols:
                 o = pch[node.token].ordinal
-                self.events.append(f"consume g{src.fid} {node.ordinal} via={via}")
+                self.events.append(f"consume g{cp.frame.fid} {node.ordinal} via={via}")
                 self.events.append(f"new_solution g{parent.fid} {o if o >= p0 else 'dup'}")
+        return len(sols)
 
-    def _burst_collect(self, cp) -> None:
-        take = cp.sols[cp.idx :]
-        cp.idx += len(take)
+    def _burst_collect(self, cp) -> int:
+        take = list(cp.alts)
         self.raw_answers.extend(take)
         if self.events is not None:
             via = _role(cp)
             for node in take:
                 self.events.append(f"consume g{cp.frame.fid} {node.ordinal} via={via}")
+        return len(take)
 
     def _deliver_general(self, cp):
-        frame = cp.frame
-        if cp.idx == len(cp.sols):
+        node = next(cp.alts, None)
+        if node is None:
             return None
-        node = cp.sols[cp.idx]
-        cp.idx += 1
+        frame = cp.frame
         trail = self.trail
         trail.undo_to(cp.mark)
         if not unify(cp.call, solution_term(node), trail):

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "0cba7f9b8f29181848d89a389494bc4dd9a7702afe9371d340d3bb577c376df0"
+DIGEST = "79077747b1b98ba5c0392120763527a8a1f37432d7fcc944f222cf5216bf6290"
 
 RECIPE = """counter matrix changed: SHA-256 {got}, recorded {want}.
 To see which cells differ, run the script on the parent commit and on this
