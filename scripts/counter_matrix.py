@@ -8,11 +8,13 @@ then the left-recursive path/2 on grid depth 2-8 under both queries and
 all 8 configurations; then a handful of small programs that reach
 paths the graph cells do not (mutual recursion, a 0-ary tabled
 predicate, a non-atomic answer whose tables deliver on the general
-plan, compound edges, double recursion), each under its own
-queries and all 8 configurations; then a fixed-seed block of random
-function-free programs (1-2 tabled binary predicates, 2-5 rules with 1-2
-body goals over them and e/2, 1-6 e/2 facts on nodes 1-4), each under
-one query with a random binding pattern and all 8 configurations.
+plan, compound edges, double recursion, a non-tabled clause that ends
+in a tabled call), each under its own queries and all 8
+configurations; then a fixed-seed block of random function-free
+programs (1-2 tabled binary predicates, 2-5 rules with 1-2 body goals
+over them and e/2, 1-6 e/2 facts on nodes 1-4), each under one query
+with a random binding pattern and all 8 configurations.  5,608 cells in
+all.
 
 Each line holds the six counters, ``engine.steps``, a digest of the
 ordered answer strings and, on cells of depth 6 or less (every small
@@ -20,10 +22,12 @@ and random program), a digest of the traced event log.  A run that
 raises ``TablingInvariantError`` or ``StepBudgetExceeded`` records
 ``"error": "<type>: <message>"`` and the counters at the raise instead
 of the answers.  The script takes no
-options: run it on two checkouts and diff the outputs to check that a
-change keeps evaluation bit-identical.
+options: run it on two checkouts and compare the outputs with
+``scripts/matrix_diff.py`` to check that a change keeps evaluation
+bit-identical, or to see which cells it changes.
 
     PYTHONPATH=src python3 scripts/counter_matrix.py > after.jsonl
+    PYTHONPATH=src python3 scripts/matrix_diff.py before.jsonl after.jsonl
 """
 
 import hashlib
@@ -52,6 +56,9 @@ SMALL_PROGRAMS = (
     ("double_recursion",
      ":- table p/2.\np(X,Y) :- p(X,Z), p(Z,Y).\np(X,Y) :- e(X,Y).\ne(1,2).\ne(2,3).\ne(3,1).\n",
      ("p(X,Y).", "p(1,Y).")),
+    ("wrapper",
+     PATH_FIRST + "edge(1,2).\nedge(2,3).\nedge(3,1).\nedge(3,4).\nw(X,Z) :- edge(X,Y), path(Y,Z).\n",
+     ("w(1,Z).", "w(X,Z).")),
 )
 RANDOM_SEED = 2
 RANDOM_PROGRAMS = 300

@@ -119,7 +119,7 @@ class _Collect:
     __slots__ = ()
 
 
-_COLLECT = _Collect()
+_COLLECT_CELL = (_Collect(), None)  # the query's continuation after its last goal
 
 # predicate call shapes
 _P_TABLED = 0
@@ -258,8 +258,6 @@ class Engine:
         self.steps = 0
         self.raw_answers: list = []
         self._template = query_template(goals) if goals else None
-        # a batch plan may stream into a one-goal query's answer list only
-        self._collect_cell = (_COLLECT, None) if len(goals) == 1 else None
         self._roles: dict = {}  # fid -> {clause: "pioneer" | "follower"} this round
 
     # -- dependency events ----------------------------------------------
@@ -287,7 +285,7 @@ class Engine:
         if not goals:
             raise ValueError("empty query")
         self._reset(goals)
-        cont = self._collect_cell or (_COLLECT, None)
+        cont = _COLLECT_CELL
         for g in reversed(goals):
             cont = (g, cont)
         with _collector_paused():
@@ -375,9 +373,9 @@ class Engine:
                 raise TablingInvariantError(f"bad continuation entry {entry!r}")
 
             # FAIL: retry the youngest choice point.  Every path that adds
-            # steps ends here, so one check bounds calls, clauses, deliveries
-            # and the general plan's inserts alike (a table batch counts one
-            # step per delivered answer and none per insert).
+            # steps ends here, so one check bounds them all: one step per
+            # predicate call, fact retry, clause tried or entered, answer
+            # delivered and answer handed to a table, whichever plan runs.
             while cont is None:
                 if self.steps >= budget:
                     raise StepBudgetExceeded(f"step budget of {budget} exceeded")
@@ -632,8 +630,9 @@ class Engine:
         table; it takes the whole table at the first delivery, which
         follows at once, so it never meets an answer it cannot insert."""
         call, cont = cp.call, cp.cont
-        if cont is self._collect_cell:
-            # the query-level choice point streaming into the answer list
+        if cont is _COLLECT_CELL and call is self._template:
+            # the query's own choice point.  A tabled call ending a clause has
+            # this cont too, and an atom call can be the template object itself.
             return (PLAN_COLLECT,)
         if not cp.frame.flat_pairs or type(call) is not Struct or len(call.args) != 2:
             return (PLAN_GENERAL,)
@@ -685,10 +684,9 @@ class Engine:
             cont = self._deliver_general(cp)
             n = 0 if cont is None else 1
         nonleader = cp.kind == K_GENERATOR and cp.frame.stack_depth is not None
-        if n:
-            self.steps += n
-            if nonleader:
-                self.stats.nonleader_sols_consumed += n
+        self.steps += n
+        if nonleader:
+            self.stats.nonleader_sols_consumed += n
         if cont is not None:
             return cont
         if nonleader and len(cp.frame.solution_order) != cp.table_len:
@@ -716,6 +714,8 @@ class Engine:
                 porder.append(nn)
                 pch[z] = nn
         self.stats.answers_emitted += len(porder) - p0
+        # as on the general plan: a step per 0-ary fact passed and per insert
+        self.steps += len(sols) * (1 + len(bumps))
         if bumps and sols:
             sc = self.stats.sld_calls
             for key in bumps:

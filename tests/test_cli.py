@@ -42,6 +42,15 @@ def test_run_prints_bindings_then_stats(program_file, capsys):
     assert any("rounds_started=2" in line for line in out)
 
 
+def test_run_answers_a_query_whose_clause_ends_in_a_tabled_call(tmp_path, capsys):
+    # p(Y) under q/2 continues into the query's answer list, but its
+    # answers are p's; each line must bind both query variables
+    p = tmp_path / "wrap.pl"
+    p.write_text(":- table p/1.\nq(X,Y) :- e(X), p(Y).\ne(7).\np(1).\np(2).\n")
+    assert main(["run", "--program", str(p), "--query", "q(A,B)."]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["A = 7, B = 1", "A = 7, B = 2"]
+
+
 def test_run_strategy_flags_change_evaluation(program_file, capsys):
     assert main(["run", "--program", program_file, "--query", "a(X).", "--dre"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,25 +1,26 @@
 """Bit-identity gate: the full counter matrix of ``scripts/counter_matrix.py``
-(5,592 cells, 2,400 of them random function-free programs: six counters,
+(5,608 cells, 2,400 of them random function-free programs: six counters,
 ``engine.steps``, answer and event-log digests, or the error a run raised)
 must hash to the recorded value.  A change that alters evaluation on
 purpose records the new digest here and says why.  The run takes about
-55 s on a 2-core machine with Python 3.11."""
+21 s on a 2-core machine with Python 3.11."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "79077747b1b98ba5c0392120763527a8a1f37432d7fcc944f222cf5216bf6290"
+DIGEST = "1804b840bb335762bc48c238e28769becd3d05b0b0322a31fafae14119944498"
 
 RECIPE = """counter matrix changed: SHA-256 {got}, recorded {want}.
-To see which cells differ, run the script on the parent commit and on this
-change, then diff the outputs:
+To see which cells differ, and in which fields, run the script on the
+parent commit and on this change, then compare the outputs:
     PYTHONPATH=src python3 scripts/counter_matrix.py > before.jsonl   # parent
     PYTHONPATH=src python3 scripts/counter_matrix.py > after.jsonl    # change
-    diff before.jsonl after.jsonl"""
+    PYTHONPATH=src python3 scripts/matrix_diff.py before.jsonl after.jsonl"""
 
 
 def test_counter_matrix_is_bit_identical():
@@ -34,3 +35,26 @@ def test_counter_matrix_is_bit_identical():
     assert proc.returncode == 0, proc.stderr.decode()
     got = hashlib.sha256(proc.stdout).hexdigest()
     assert got == DIGEST, RECIPE.format(got=got, want=DIGEST)
+
+
+def test_matrix_diff_pairs_cells_by_key(tmp_path):
+    def cell(config, steps, **extra):
+        return json.dumps(dict(shape="grid", depth=2, query="p(X).", config=config,
+                               steps=steps, answers="a1", **extra), sort_keys=True)
+
+    before = tmp_path / "before.jsonl"
+    after = tmp_path / "after.jsonl"
+    before.write_text("\n".join([cell("dra", 5), cell("standard", 7), cell("drs", 3)]) + "\n")
+    after.write_text("\n".join([cell("standard", 9), cell("dra", 5), cell("dre", 1)]) + "\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "matrix_diff.py"), str(before), str(after)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "2 paired cells, 1 differ; 1 removed, 1 added",
+        "  steps: 1 cells",
+        "shape=grid depth=2 query=p(X). config=standard: steps 7 -> 9",
+        "removed: shape=grid depth=2 query=p(X). config=drs",
+        "added: shape=grid depth=2 query=p(X). config=dre",
+    ]

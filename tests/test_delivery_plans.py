@@ -1,0 +1,102 @@
+"""The delivery plans are an optimisation nobody can observe.
+
+The general plan (one answer per retry, through ``unify`` and the
+continuation) is the specification.  Every test here runs each cell
+twice, once as the engine plans it and once with ``Engine._make_plan``
+swapped for a stub that always answers the general plan, and demands the
+same decoded answers in order, the same ``EvalStats``, ``engine.steps``,
+event log and error line.  The stub is a test fake, not an engine option.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+from counter_matrix import SMALL_PROGRAMS, cells, random_program, run  # noqa: E402
+from lintab.engine import ALL_CONFIGS, PLAN_COLLECT, PLAN_GENERAL, PLAN_TABLE, Engine  # noqa: E402
+from lintab.reader import parse_program  # noqa: E402
+from lintab.terms import term_to_str  # noqa: E402
+
+WRAPPED_SEED = 7
+WRAPPED_PROGRAMS = 60
+GRAPH_MAX_DEPTH = 4
+
+
+def observe(program, query, config):
+    eng, raw, error = run(program, query, config, trace=True)
+    answers = None if raw is None else [term_to_str(a) for a in eng.answers(raw)]
+    return answers, eng.stats.as_dict(), eng.steps, eng.events, error
+
+
+def differences(cases, monkeypatch):
+    """Run every (label, program text, queries) case under all 8 configs,
+    planned and general.  Returns the cell count, the cells whose
+    observations differ and the set of plans the planned runs chose."""
+    runs = []
+    for label, text, queries in cases:
+        program = parse_program(text)
+        for query in queries:
+            for config in ALL_CONFIGS:
+                runs.append((f"{label} {query} {config.label}", program, query, config))
+    chosen = set()
+    make_plan = Engine._make_plan
+
+    def spy(self, cp):
+        plan = make_plan(self, cp)
+        chosen.add(plan[0])
+        return plan
+
+    with monkeypatch.context() as m:
+        m.setattr(Engine, "_make_plan", spy)
+        planned = [observe(p, q, c) for _, p, q, c in runs]
+    with monkeypatch.context() as m:
+        m.setattr(Engine, "_make_plan", lambda self, cp: (PLAN_GENERAL,))
+        general = [observe(p, q, c) for _, p, q, c in runs]
+    fields = ("answers", "stats", "steps", "events", "error")
+    diffs = []
+    for (name, *_), want, got in zip(runs, general, planned):
+        changed = [f for f, w, g in zip(fields, want, got) if w != g]
+        if changed:
+            diffs.append(f"{name}: {', '.join(changed)}")
+    return len(runs), diffs, chosen
+
+
+def wrapped_random_programs():
+    """Random programs from the counter matrix's generator, each with a
+    non-tabled w/2 whose clauses end in a call of the query's predicate,
+    queried directly, through w/2 and in a conjunction."""
+    rng = random.Random(WRAPPED_SEED)
+    for i in range(WRAPPED_PROGRAMS):
+        text, query = random_program(rng)
+        p = query.split("(")[0]
+        text += f"w(X,Y) :- e(X,Z), {p}(Z,Y).\nw(X,Y) :- {p}(X,Y).\n"
+        yield f"random{i}", text, (query, "w(A,B).", "w(1,B).", "e(A,B), w(B,C).")
+
+
+def test_small_programs_deliver_as_the_general_plan(monkeypatch):
+    n, diffs, chosen = differences(SMALL_PROGRAMS, monkeypatch)
+    assert n == 8 * sum(len(queries) for _, _, queries in SMALL_PROGRAMS)
+    assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
+
+
+def test_graph_cells_deliver_as_the_general_plan(monkeypatch):
+    graphs = [
+        (" ".join(f"{k}={v}" for k, v in key.items()), text, queries)
+        for key, text, queries in cells()
+        if "shape" in key and key["depth"] <= GRAPH_MAX_DEPTH
+    ]
+    assert {key.split()[0] for key, _, _ in graphs} == {"shape=pyramid", "shape=cycle", "shape=grid"}
+    assert any("slds=True" in key for key, _, _ in graphs)
+    n, diffs, chosen = differences(graphs, monkeypatch)
+    assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
+    assert chosen == {PLAN_GENERAL, PLAN_TABLE, PLAN_COLLECT}
+
+
+def test_wrapped_random_programs_deliver_as_the_general_plan(monkeypatch):
+    n, diffs, chosen = differences(wrapped_random_programs(), monkeypatch)
+    assert n == WRAPPED_PROGRAMS * 4 * 8
+    assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
+    assert chosen == {PLAN_GENERAL, PLAN_TABLE, PLAN_COLLECT}
+

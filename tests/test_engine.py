@@ -258,13 +258,13 @@ def test_step_budget_covers_every_step(config):
 
 def test_step_budget_of_zero_and_of_the_exact_size():
     text = path_program(gen_edges(GraphConfig("grid", 3)))
-    for budget in (0, 1, 1352):
+    for budget in (0, 1, 2070):
         eng = Engine(parse_program(text), StrategyConfig(), step_budget=budget)
         with pytest.raises(StepBudgetExceeded, match=f"step budget of {budget} exceeded"):
             eng.run_query(parse_query("path(X,Z)."))
-    eng = Engine(parse_program(text), StrategyConfig(), step_budget=1353)
+    eng = Engine(parse_program(text), StrategyConfig(), step_budget=2071)
     eng.run_query(parse_query("path(X,Z)."))
-    assert eng.steps == 1352
+    assert eng.steps == 2070
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,9 +310,9 @@ def test_watched_runs_keep_the_step_budget_verdict():
     # tracing observes the unwatched evaluation, step for step
     text = path_program(gen_edges(GraphConfig("grid", 3)))
     for kw in ({}, {"trace": True}):
-        eng = Engine(parse_program(text), StrategyConfig(), step_budget=1712, **kw)
+        eng = Engine(parse_program(text), StrategyConfig(), step_budget=2400, **kw)
         eng.run_query(parse_query("path(X,Z)."))
-        assert eng.steps == 1352
+        assert eng.steps == 2070
 
 
 def test_empty_query_rejected():
