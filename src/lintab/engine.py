@@ -41,7 +41,7 @@ from .tablespace import (
     TableSpace,
     TablingInvariantError,
     TrieNode,
-    descend,
+    child,
     drs_selection,
     solution_term,
 )
@@ -663,7 +663,7 @@ class Engine:
                 if not _ground_atomic(a0) or deref(sol.args[1]) is not cv:
                     return (PLAN_GENERAL,)
                 parent = entry.frame
-                xnode = descend(parent.sol_func_node, a0)
+                xnode = child(parent.sol_func_node, a0)
                 return (PLAN_TABLE, parent, xnode, tuple(bumps))
             return (PLAN_GENERAL,)
         return (PLAN_GENERAL,)
@@ -744,7 +744,26 @@ class Engine:
         frame = cp.frame
         trail = self.trail
         trail.undo_to(cp.mark)
-        if not unify(cp.call, solution_term(node), trail):
+        if frame.flat_pairs:
+            # every stored answer is f(a, b) with a and b atomic: bind or
+            # compare the call's arguments, a at the leaf's parent, b at it
+            c0, c1 = cp.call.args
+            x, a = deref(c0), node.parent.token
+            if type(x) is Var:
+                x.ref = a
+                trail.append(x)
+                ok = True
+            else:
+                ok = x == a
+            x, b = deref(c1), node.token
+            if type(x) is Var:
+                x.ref = b
+                trail.append(x)
+            else:
+                ok = ok and x == b
+        else:
+            ok = unify(cp.call, solution_term(node), trail)
+        if not ok:
             raise TablingInvariantError(
                 f"answer {node.ordinal} of g{frame.fid} does not unify with its call"
             )

@@ -8,6 +8,9 @@ solution terminals are always leaves.  ``descend`` checks/inserts in one
 pass, stepping into or creating each token's child as it derefs the term.
 Nodes keep a parent pointer instead of the term, which matters at millions
 of stored solutions: ``solution_term`` rebuilds a term from its terminal.
+A flat pair ``f(a, b)``, ``a`` and ``b`` atomic, is inserted by two ``child``
+lookups, delivered from its last two tokens and rebuilt from its last three
+nodes, with no stream walk; every other answer walks its stream.
 When a table space dies it unlinks its tries (``TableSpace.__del__``), so
 they are freed by reference counting rather than by the cyclic collector.
 """
@@ -50,10 +53,22 @@ class TrieNode:
         self.ordinal: Optional[int] = None
 
 
+def child(node: TrieNode, tok) -> TrieNode:
+    """``node``'s child for ``tok``, created if it is missing."""
+    ch = node.children
+    if ch is None:
+        ch = node.children = {}
+    nxt = ch.get(tok)
+    if nxt is None:
+        nxt = ch[tok] = TrieNode(tok, node)
+    return nxt
+
+
 def descend(node: TrieNode, t) -> TrieNode:
     """Walk ``t``'s preorder token stream down from ``node``, creating the
-    children it lacks; return the last token's node.  Unbound variables are
-    numbered by first appearance, as in ``term_tokens``."""
+    children it lacks (each step is ``child``, inlined); return the last
+    token's node.  Unbound variables are numbered by first appearance, as
+    in ``term_tokens``."""
     varmap = None
     stack = [t]
     while stack:
@@ -88,6 +103,12 @@ def solution_term(node: TrieNode):
     """Rebuild the term a terminal of either trie stands for, one fresh Var
     per variable token.  Read terminal-to-root, the preorder stream is
     postfix: a functor of arity n pops its n arguments, the first on top."""
+    p = node.parent
+    top = p and p.parent
+    if top and top.parent and top.parent.parent is None:  # three levels down
+        f, a, b = top.token, p.token, node.token
+        if type(f) is Functor and f.arity == 2 and type(a) is not tuple and type(b) is not tuple:
+            return Struct(f, (a, b))  # f/2 over two one-token arguments: a flat pair
     stack: list = []
     fresh: dict = {}
     while node.parent is not None:
@@ -149,7 +170,7 @@ class SubgoalFrame:
         self.state = READY
         self.solution_trie_root = TrieNode(None, None)
         # every solution starts with the functor token; pre-create that level
-        self.sol_func_node = descend(self.solution_trie_root, functor)
+        self.sol_func_node = child(self.solution_trie_root, functor)
         self.solution_order: list[TrieNode] = []
         # table size when the current round began: the answers at and past
         # this ordinal are the round's new ones
@@ -160,8 +181,8 @@ class SubgoalFrame:
         self.alt_seq: tuple | range = ()  # clause indices the current round runs
         self.stack_depth: Optional[int] = None  # set while on the generator stack
         self.push_stamp = 0
-        # true while every stored solution is f(atomic, atomic); lets bulk
-        # readers skip per-node shape checks
+        # true while every stored solution is a flat pair f(a, b), a and b
+        # atomic: deliveries and table batches read its last two tokens
         self.flat_pairs = True
 
     def set_state(self, new: str) -> None:
@@ -206,17 +227,17 @@ class TableSpace:
     def solution_check_insert(self, sol, frame: SubgoalFrame) -> bool:
         if frame.state == COMPLETE:
             raise TablingInvariantError("insert into complete table")
-        root = frame.solution_trie_root
-        node = descend(root, sol)
+        a = b = None
+        if type(sol) is Struct and sol.functor is frame.functor and len(sol.args) == 2:
+            a, b = deref(sol.args[0]), deref(sol.args[1])
+        if (type(a) is int or type(a) is Functor) and (type(b) is int or type(b) is Functor):
+            node = child(child(frame.sol_func_node, a), b)
+        else:
+            node = descend(frame.solution_trie_root, sol)
+            if node.ordinal is None:
+                frame.flat_pairs = False  # storing any other answer clears it
         if node.ordinal is not None:
             return False
-        if frame.flat_pairs:
-            # a flat pair's stream is three tokens, the last two not variables
-            top = node.parent.parent
-            frame.flat_pairs = (
-                top is not None and top.parent is root
-                and type(node.parent.token) is not tuple and type(node.token) is not tuple
-            )
         node.ordinal = len(frame.solution_order)
         frame.solution_order.append(node)
         return True

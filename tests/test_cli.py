@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 
 from lintab.bench import parse_structured
 from lintab.cli import main
+from lintab.engine import ALL_CONFIGS, solve
+from lintab.reader import parse_program, parse_query
+from lintab.terms import term_to_str
 
 MUTUAL = """
 :- table a/1.
@@ -49,6 +52,20 @@ def test_run_answers_a_query_whose_clause_ends_in_a_tabled_call(tmp_path, capsys
     p.write_text(":- table p/1.\nq(X,Y) :- e(X), p(Y).\ne(7).\np(1).\np(2).\n")
     assert main(["run", "--program", str(p), "--query", "q(A,B)."]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["A = 7, B = 1", "A = 7, B = 2"]
+
+
+def test_one_argument_answer_is_not_read_as_a_pair(tmp_path, capsys):
+    # q(f(0))'s token stream is three tokens long, like a flat pair's, but
+    # its table must deliver the term f(0), not the functor f/1
+    text = ":- table q/1.\nq(f(0)).\nr(X) :- q(X).\n"
+    p = tmp_path / "one.pl"
+    p.write_text(text)
+    for config in ALL_CONFIGS:
+        answers, _ = solve(parse_program(text), parse_query("r(X)."), config)
+        assert [term_to_str(a) for a in answers] == ["r(f(0))"], config.label
+        flags = [f"--{name}" for name in ("dre", "dra", "drs") if getattr(config, name)]
+        assert main(["run", "--program", str(p), "--query", "r(X).", *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "X = f(0)", config.label
 
 
 def test_run_strategy_flags_change_evaluation(program_file, capsys):

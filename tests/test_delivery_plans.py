@@ -1,11 +1,16 @@
-"""The delivery plans are an optimisation nobody can observe.
+"""The delivery plans and the flat-pair path are optimisations nobody can
+observe.
 
 The general plan (one answer per retry, through ``unify`` and the
-continuation) is the specification.  Every test here runs each cell
-twice, once as the engine plans it and once with ``Engine._make_plan``
-swapped for a stub that always answers the general plan, and demands the
-same decoded answers in order, the same ``EvalStats``, ``engine.steps``,
-event log and error line.  The stub is a test fake, not an engine option.
+continuation) is the specification.  Every test here runs each cell three
+times: once as the engine plans it; once with ``Engine._make_plan``
+swapped for a stub that always answers the general plan; and once with
+``TableSpace.solution_check_insert`` wrapped so that it clears
+``frame.flat_pairs`` after every insert, so that every general delivery
+runs ``unify(call, solution_term(node))`` and no table batch delivers an
+answer.  Both references must give the planned run's decoded answers in
+order, ``EvalStats``, ``engine.steps``, event log and error line.  The
+stub and the wrapper are test fakes, not engine options.
 """
 
 import random
@@ -17,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from counter_matrix import SMALL_PROGRAMS, cells, random_program, run  # noqa: E402
 from lintab.engine import ALL_CONFIGS, PLAN_COLLECT, PLAN_GENERAL, PLAN_TABLE, Engine  # noqa: E402
 from lintab.reader import parse_program  # noqa: E402
+from lintab.tablespace import TableSpace  # noqa: E402
 from lintab.terms import term_to_str  # noqa: E402
 
 WRAPPED_SEED = 7
@@ -31,35 +37,60 @@ def observe(program, query, config):
 
 
 def differences(cases, monkeypatch):
-    """Run every (label, program text, queries) case under all 8 configs,
-    planned and general.  Returns the cell count, the cells whose
-    observations differ and the set of plans the planned runs chose."""
+    """Run every (label, program text, queries) case under all 8 configs:
+    planned, general and without the pair path.  Returns the cell count,
+    the cells whose observations differ from the planned run and the set
+    of plans the planned runs chose."""
     runs = []
     for label, text, queries in cases:
         program = parse_program(text)
         for query in queries:
             for config in ALL_CONFIGS:
                 runs.append((f"{label} {query} {config.label}", program, query, config))
-    chosen = set()
-    make_plan = Engine._make_plan
+    chosen, pair_deliveries, batched = set(), [0], []
+    make_plan, deliver_general = Engine._make_plan, Engine._deliver_general
+    burst_table, insert = Engine._burst_table, TableSpace.solution_check_insert
 
     def spy(self, cp):
         plan = make_plan(self, cp)
         chosen.add(plan[0])
         return plan
 
+    def spy_deliver(self, cp):
+        cont = deliver_general(self, cp)
+        pair_deliveries[0] += cont is not None and cp.frame.flat_pairs
+        return cont
+
+    def spy_burst(self, cp):
+        n = burst_table(self, cp)
+        batched.append(n)
+        return n
+
+    def unflat(self, sol, frame):
+        is_new = insert(self, sol, frame)
+        frame.flat_pairs = False
+        return is_new
+
     with monkeypatch.context() as m:
         m.setattr(Engine, "_make_plan", spy)
+        m.setattr(Engine, "_deliver_general", spy_deliver)
         planned = [observe(p, q, c) for _, p, q, c in runs]
     with monkeypatch.context() as m:
         m.setattr(Engine, "_make_plan", lambda self, cp: (PLAN_GENERAL,))
         general = [observe(p, q, c) for _, p, q, c in runs]
+    with monkeypatch.context() as m:
+        m.setattr(TableSpace, "solution_check_insert", unflat)
+        m.setattr(Engine, "_burst_table", spy_burst)
+        unpaired = [observe(p, q, c) for _, p, q, c in runs]
+    assert pair_deliveries[0] > 0, "the planned runs never took the pair path"
+    assert not any(batched), "a table batch delivered answers without the pair path"
     fields = ("answers", "stats", "steps", "events", "error")
     diffs = []
-    for (name, *_), want, got in zip(runs, general, planned):
-        changed = [f for f, w, g in zip(fields, want, got) if w != g]
-        if changed:
-            diffs.append(f"{name}: {', '.join(changed)}")
+    for ref, observed in (("general", general), ("unpaired", unpaired)):
+        for (name, *_), want, got in zip(runs, observed, planned):
+            changed = [f for f, w, g in zip(fields, want, got) if w != g]
+            if changed:
+                diffs.append(f"{name} vs {ref}: {', '.join(changed)}")
     return len(runs), diffs, chosen
 
 

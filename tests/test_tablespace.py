@@ -19,7 +19,7 @@ from lintab.tablespace import (
 )
 from lintab.engine import ALL_CONFIGS, Engine, StrategyConfig
 from lintab.reader import parse_program, parse_query
-from lintab.terms import Struct, Var, atom, functor, term_to_str, term_tokens
+from lintab.terms import Functor, Struct, Var, atom, functor, term_to_str, term_tokens
 
 
 def s(name, *args):
@@ -263,11 +263,14 @@ X, Y = ("var", 0), ("var", 1)
 @given(st.lists(st.lists(_skel, max_size=3), min_size=1, max_size=20))
 @example([[X, X], [X, Y], [("struct", [X]), X], [("struct", [X]), Y], [], [Y, Y], []])
 @example([[1, ("atom", "a")], [2, X], [1, ("atom", "a")]])
+@example([[("struct", [0])]])
+@example([[1, ("atom", "a")], [1, X], [1, ("atom", "a")], [("struct", [1]), 2]])
 def test_prop_trie_bijection(arg_lists):
     # term_tokens defines variant identity; both tries must agree with it
     ts = TableSpace()
-    frames, seen, flat = {}, set(), True
-    sols = None  # the first call's frame takes every term as a solution
+    call = s("p", Var(), Var())
+    sols, _ = ts.subgoal_check_insert(call)  # this frame takes every term as a solution
+    frames, seen, flat = {term_tokens(call): sols}, set(), True
     for skels in arg_lists:
         pool = {}  # one variable may occur in several arguments
         args = [build(sk, pool) for sk in skels]
@@ -276,11 +279,11 @@ def test_prop_trie_bijection(arg_lists):
         frame, existed = ts.subgoal_check_insert(t)
         assert existed == (key in frames)
         assert frames.setdefault(key, frame) is frame
-        if sols is None:
-            sols = frame
         assert ts.solution_check_insert(t, sols) == (key not in seen)
         seen.add(key)
-        flat = flat and len(key) == 3 and type(key[1]) is not tuple and type(key[2]) is not tuple
+        # the flag holds while every stored solution is a flat pair: arity 2,
+        # both arguments atomic
+        flat = flat and len(args) == 2 and all(type(a) in (int, Functor) for a in args)
         assert sols.flat_pairs == flat
     assert len(ts.frames) == len(frames) == count_terminals(ts.subgoal_root)
     for key, frame in frames.items():
