@@ -1,18 +1,22 @@
 """Linear-tabling resolution engine.
 
-One execution tree, explicit choice-point stack, local scheduling: a new
-solution always fails back, and a generator hands solutions to its caller
-only once its clause cursor is exhausted (non-leaders) or its strongly
-connected component completes (leaders).
+One execution tree, local scheduling: a new solution always fails back,
+and a generator hands solutions to its caller only once its clause cursor
+is exhausted (non-leaders) or its strongly connected component completes
+(leaders).  Every choice point is a Python generator on ``Engine.cps``
+that yields the continuation of its next alternative (a matching fact, a
+clause body or an answer delivery); failing means resuming the youngest
+one, and popping it once it is exhausted.
 
 Leadership and loop marking are tracked lazily.  Every repeated call
 records a dependency event (stamp, target depth).  A generator is a
 leader at its fix-point check iff no event since its push targets a
 frame below it; a clause alternative (or a solution being propagated)
-is loop-marked iff some event during its activity window targets a
-frame at or below the owner.  Both queries are O(log n) on a monotone
-event stack, which keeps the per-event cost constant instead of walking
-the generator stack on every repeated call.
+is loop-marked iff some event during its window, the span of the
+``yield`` that hands it on, targets a frame at or below the owner.  Both
+queries are O(log n) on a monotone event stack, which keeps the
+per-event cost constant instead of walking the generator stack on every
+repeated call.
 
 Three optimizations combine freely:
 
@@ -166,11 +170,10 @@ def _ground_atomic(t) -> bool:
 
 # choice points ---------------------------------------------------------
 
-K_INTERIOR = 0
-K_FACTS = 1
-K_GENERATOR = 2
-K_CONSUMER = 3
-K_FOLLOWER = 4
+# what a tabled choice point is to its frame
+K_GENERATOR = 0
+K_CONSUMER = 1
+K_FOLLOWER = 2
 
 # delivery plans
 PLAN_GENERAL = 0
@@ -178,48 +181,13 @@ PLAN_TABLE = 1  # batch: insert last-arg token into the parent's table
 PLAN_COLLECT = 2  # batch: append terminals to the raw answer list
 
 
-class _CP:
-    __slots__ = (
-        "kind",
-        "mark",
-        "cont",
-        "frame",
-        "call",
-        "plan",
-        "ns_cell",
-        "window",
-        "cur",
-        "c0",
-        "c1",
-        "alts",
-        "table_len",
-    )
-
-    def __init__(self, kind, mark, cont):
-        self.kind = kind
-        self.mark = mark
-        self.cont = cont
-        self.frame = None
-        self.call = None
-        self.plan = None
-        self.ns_cell = None
-        self.window = None  # clock when the running clause (DRA) or answer (DRS) began
-        self.cur = None  # that clause index or answer node
-        self.c0 = None
-        self.c1 = None
-        # an iterator over what is left to try: matching facts, clauses, or
-        # the answers it delivers (None while a tabled one runs clauses)
-        self.alts = None
-        self.table_len = None  # table size when a non-leader starts consuming
-
-
-def _role(cp) -> str:
+def _role(kind, frame) -> str:
     """What a tabled choice point is to its frame, as the event log names it."""
-    if cp.kind == K_FOLLOWER:
+    if kind == K_FOLLOWER:
         return "follower"
-    if cp.frame.state == COMPLETE:
+    if frame.state == COMPLETE:
         return "completed"
-    return "generator" if cp.kind == K_GENERATOR else "consumer"
+    return "generator" if kind == K_GENERATOR else "consumer"
 
 
 class Engine:
@@ -235,7 +203,7 @@ class Engine:
     ):
         self.config = config or StrategyConfig()
         self.step_budget = step_budget
-        self.events: list[str] | None = [] if trace else None
+        self.events: list[str] | None = [] if trace else None  # per run, see _reset
         self.preds: dict[Functor, _Pred] = {}
         for f, clauses in program.predicates.items():
             self.preds[f] = _Pred(f, clauses, f in program.tabled)
@@ -249,8 +217,10 @@ class Engine:
         """The per-run state, fresh for a query of ``goals``."""
         self.ts = TableSpace()
         self.stats = EvalStats()
+        if self.events is not None:
+            self.events = []
         self.trail = Trail()
-        self.cps: list[_CP] = []
+        self.cps: list = []  # the choice points: generators of continuations
         self.gen_stack = []
         self.ev_stamps: list[int] = []
         self.ev_depths: list[int] = []
@@ -277,6 +247,12 @@ class Engine:
         i = bisect_left(self.ev_stamps, stamp)
         return self.ev_depths[i] if i < len(self.ev_stamps) else None
 
+    def _looped(self, stamp: int, frame) -> bool:
+        """Whether a repeated call since ``stamp`` reached ``frame`` or one
+        below it."""
+        d = self._min_event_depth_since(stamp)
+        return d is not None and d <= frame.stack_depth
+
     # -- public API -------------------------------------------------------
 
     def run_query(self, goals: list) -> tuple[list, EvalStats]:
@@ -293,8 +269,11 @@ class Engine:
                 self._run(cont)
             finally:
                 # a run that raises leaves its bindings on the trail; undo
-                # them, so the caller's query terms are unbound again
+                # them, so the caller's query terms are unbound again.  Its
+                # suspended choice points refer to the engine and its tables:
+                # drop them, so the tables still die by reference counting.
                 self.trail.undo_to(0)
+                self.cps.clear()
         if self.gen_stack:
             raise TablingInvariantError("generator stack not empty at exit")
         for f in self.ts.frames:
@@ -309,7 +288,6 @@ class Engine:
     # -- the machine ------------------------------------------------------
 
     def _run(self, cont) -> None:
-        trail = self.trail
         cps = self.cps
         preds = self.preds
         stats = self.stats
@@ -349,17 +327,10 @@ class Engine:
                                 cont = None
                                 break
                             a0 = None  # bound: the index already matched it
-                        cp = _CP(K_FACTS, len(trail), rest)
-                        cp.alts = iter(facts)
-                        cp.c0 = a0
-                        cp.c1 = deref(entry.args[1])
-                        cps.append(cp)
+                        cps.append(self._facts(facts, a0, deref(entry.args[1]), rest))
                         cont = None
                         break
-                    cp = _CP(K_INTERIOR, len(trail), rest)
-                    cp.call = entry
-                    cp.alts = iter(pred.clauses)
-                    cps.append(cp)
+                    cps.append(self._interior(entry, pred.clauses, rest))
                     cont = None
                     break
                 if te is _NewSol:
@@ -372,8 +343,9 @@ class Engine:
                     break
                 raise TablingInvariantError(f"bad continuation entry {entry!r}")
 
-            # FAIL: retry the youngest choice point.  Every path that adds
-            # steps ends here, so one check bounds them all: one step per
+            # FAIL: resume the youngest choice point for its next
+            # continuation, and drop it once it has none.  Every path that
+            # adds steps ends here, so one check bounds them all: one step per
             # predicate call, fact retry, clause tried or entered, answer
             # delivered and answer handed to a table, whichever plan runs.
             while cont is None:
@@ -381,25 +353,19 @@ class Engine:
                     raise StepBudgetExceeded(f"step budget of {budget} exceeded")
                 if not cps:
                     return
-                cp = cps[-1]
-                k = cp.kind
-                if k == K_FACTS:
-                    cont = self._retry_facts(cp)
-                elif k == K_INTERIOR:
-                    cont = self._retry_interior(cp)
-                else:
-                    cont = self._retry_tabled(cp)
+                cont = next(cps[-1], None)
+                if cont is None:
+                    cps.pop()
 
     # -- non-tabled calls --------------------------------------------------
 
-    def _retry_facts(self, cp):
+    def _facts(self, facts, c0, c1, cont):
+        """Bind ``c0`` (None when the call's first argument is bound) and
+        ``c1`` to each matching pair of ``facts`` in turn."""
         trail = self.trail
-        mark = cp.mark
-        trail.undo_to(mark)
-        c0 = cp.c0  # None when the call's first argument is bound
-        c1 = cp.c1
+        mark = len(trail)
         self.steps += 1
-        for f0, f1 in cp.alts:
+        for f0, f1 in facts:
             if c0 is not None:
                 c0.ref = f0
                 trail.append(c0)
@@ -407,24 +373,23 @@ class Engine:
             if type(x) is Var:
                 x.ref = f1
                 trail.append(x)
-                return cp.cont
-            if x is f1 or x == f1:
-                return cp.cont
+            elif not (x is f1 or x == f1):
+                trail.undo_to(mark)
+                continue
+            yield cont
             trail.undo_to(mark)
-        self.cps.pop()
-        return None
-
-    def _retry_interior(self, cp):
-        trail = self.trail
-        for clause in cp.alts:
-            trail.undo_to(cp.mark)
             self.steps += 1
-            cont = self._enter(cp.call, clause, cp.cont)
-            if cont is not None:
-                return cont
-        trail.undo_to(cp.mark)
-        self.cps.pop()
-        return None
+
+    def _interior(self, call, clauses, cont):
+        trail = self.trail
+        mark = len(trail)
+        for clause in clauses:
+            trail.undo_to(mark)
+            self.steps += 1
+            body = self._enter(call, clause, cont)
+            if body is not None:
+                yield body
+        trail.undo_to(mark)
 
     def _enter(self, call, clause, cont):
         """Unify ``call`` with a fresh copy of ``clause``; return its body
@@ -459,16 +424,9 @@ class Engine:
                 kind = K_FOLLOWER
             else:
                 kind = K_CONSUMER
-        cp = _CP(kind, len(self.trail), rest)
-        cp.frame = frame
-        cp.call = goal
-        if kind == K_CONSUMER:
-            self._start_delivery(cp, frame.solution_order)
-        else:
-            cp.ns_cell = (_NewSol(frame, goal), None)
-        self.cps.append(cp)
+        self.cps.append(self._tabled(kind, frame, goal, rest))
         if self.events is not None:
-            self.events.append(f"call g{frame.fid} {_role(cp)}")
+            self.events.append(f"call g{frame.fid} {_role(kind, frame)}")
         return None
 
     def _new_solution(self, entry) -> None:
@@ -485,82 +443,137 @@ class Engine:
 
     # -- tabled choice points: clauses, fix-point, restart, completion ------
 
-    def _retry_tabled(self, cp):
-        """Retry a generator, follower or consumer: enter the frame's next
-        clause until the choice point has answers to deliver, then deliver.
-        The clause or answer that just ran loops iff a repeated call made
-        while it ran reached this frame or one below (a frame's depth
-        cannot change while its own choice point runs)."""
-        frame = cp.frame
-        if cp.window is not None:
-            d = self._min_event_depth_since(cp.window)
-            if d is not None and d <= frame.stack_depth:
-                if cp.alts is None:
-                    frame.looping_alternatives.setdefault(cp.cur)
-                else:
-                    frame.mark_looping_solution(cp.cur)
-            cp.window = None
-        while cp.alts is None:
-            cont = self._try_alternatives(cp)
-            if cont is not None:
-                return cont
-            if cp.kind == K_FOLLOWER:
-                # followers always consume everything
-                self._start_delivery(cp, frame.solution_order)
-                continue
-            # the generator's cursor is exhausted: fix-point check
-            md = self._min_event_depth_since(frame.push_stamp)
-            if md is not None and md < frame.stack_depth:
-                if self.events is not None:
-                    self.events.append(f"fixpoint g{frame.fid} propagate")
-                # nothing inserts into this table while its generator consumes
-                # (see _deliver), so the DRS selection is made once, here
-                cp.table_len = len(frame.solution_order)
-                sols = drs_selection(frame) if self.config.drs else frame.solution_order
-                self._start_delivery(cp, sols)
-            # md == depth means a repeated call targeted this frame: the
-            # subgoal depends on itself, so a round that grew any table in
-            # the component forces another pass.  Without a self-dependency
-            # the first pass is already final.
-            elif md == frame.stack_depth and any(
-                len(m.solution_order) > m.round_start for m in self.gen_stack[md:]
-            ):
-                self._restart_round(frame)
-            else:
-                self._complete_scc(frame)
-                self._start_delivery(cp, frame.solution_order)
-        return self._deliver(cp)
-
-    def _try_alternatives(self, cp):
-        """Enter the frame's next untried clause that unifies with the call
-        and return its body continuation; None once the shared cursor is
-        spent or, for a follower, the pioneer has finished."""
-        frame = cp.frame
+    def _tabled(self, kind, frame, call, cont):
+        """A generator, follower or consumer: enter the frame's next clause
+        until the choice point has answers to deliver, then deliver them.
+        A clause or answer loops iff a repeated call made while it ran, the
+        span of its ``yield``, reached this frame or one below (a frame's
+        depth cannot change while its own choice point runs)."""
         trail = self.trail
-        dra = self.config.dra
-        clauses = self.preds[frame.functor].clauses
-        seq = frame.alt_seq
-        # a frame off the generator stack has no pioneer left to follow
-        while frame.stack_depth is not None and frame.next_alternative < len(seq):
-            ci = seq[frame.next_alternative]
-            frame.next_alternative += 1
-            trail.undo_to(cp.mark)
-            cont = self._enter(cp.call, clauses[ci], cp.ns_cell)
-            if cont is None:
-                continue
-            self.stats.alts_explored += 1
-            self.steps += 1
-            self._note_role(frame, ci, "pioneer" if cp.kind == K_GENERATOR else "follower")
-            if dra and frame.state == LOOP_EVALUATING and ci not in frame.looping_alternatives:
-                raise TablingInvariantError(f"loop round ran non-looping clause {ci}")
-            if self.events is not None:
-                self.events.append(f"alt g{frame.fid} {ci}")
-            if dra:  # whether the pioneer or a follower runs it
-                cp.window = self.clock
-                cp.cur = ci
-            return cont
-        trail.undo_to(cp.mark)
-        return None
+        stats = self.stats
+        events = self.events
+        mark = len(trail)
+        sols = frame.solution_order
+        table_len = None  # table size when a non-leader starts consuming
+        if kind != K_CONSUMER:
+            dra = self.config.dra
+            clauses = self.preds[frame.functor].clauses
+            ns_cell = (_NewSol(frame, call), None)
+            role = "pioneer" if kind == K_GENERATOR else "follower"
+            while True:
+                # the shared cursor; a frame off the generator stack has no
+                # pioneer left to follow
+                while frame.stack_depth is not None and frame.next_alternative < len(frame.alt_seq):
+                    ci = frame.alt_seq[frame.next_alternative]
+                    frame.next_alternative += 1
+                    trail.undo_to(mark)
+                    body = self._enter(call, clauses[ci], ns_cell)
+                    if body is None:
+                        continue
+                    stats.alts_explored += 1
+                    self.steps += 1
+                    self._note_role(frame, ci, role)
+                    if dra and frame.state == LOOP_EVALUATING and ci not in frame.looping_alternatives:
+                        raise TablingInvariantError(f"loop round ran non-looping clause {ci}")
+                    if events is not None:
+                        events.append(f"alt g{frame.fid} {ci}")
+                    stamp = self.clock
+                    yield body
+                    # DRA marks it, whether the pioneer or a follower ran it
+                    if dra and self._looped(stamp, frame):
+                        frame.looping_alternatives.setdefault(ci)
+                trail.undo_to(mark)
+                if kind == K_FOLLOWER:
+                    break  # followers always consume everything
+                # the generator's cursor is exhausted: fix-point check
+                depth = frame.stack_depth
+                md = self._min_event_depth_since(frame.push_stamp)
+                if md is not None and md < depth:
+                    if events is not None:
+                        events.append(f"fixpoint g{frame.fid} propagate")
+                    # nothing inserts into this table while its generator
+                    # consumes it (checked below), so the DRS selection is
+                    # made once, here
+                    table_len = len(sols)
+                    if self.config.drs:
+                        sols = drs_selection(frame)
+                    break
+                # md == depth means a repeated call targeted this frame: the
+                # subgoal depends on itself, so a round that grew any table in
+                # the component forces another pass.  Without a
+                # self-dependency the first pass is already final.
+                if md == depth and any(
+                    len(m.solution_order) > m.round_start for m in self.gen_stack[md:]
+                ):
+                    self._restart_round(frame)
+                else:
+                    self._complete_scc(frame)
+                    break
+
+        # deliveries.  Steps and consumed solutions are counted one per
+        # answer: a generator whose table length was taken above is a
+        # non-leader handing its table to its caller.
+        via = None if events is None else _role(kind, frame)
+        plan = self._make_plan(frame, call, cont)
+        if plan[0] == PLAN_GENERAL:
+            # one answer per resumption, through the continuation; DRS marks
+            # the answers a generator or follower of an open frame hands on
+            window = self.config.drs and kind != K_CONSUMER and frame.stack_depth is not None
+            for node in sols:
+                trail.undo_to(mark)
+                if frame.flat_pairs:
+                    # every stored answer is f(a, b) with a and b atomic: bind
+                    # or compare the call's arguments, a at the leaf's parent,
+                    # b at it
+                    c0, c1 = call.args
+                    x, a = deref(c0), node.parent.token
+                    if type(x) is Var:
+                        x.ref = a
+                        trail.append(x)
+                        ok = True
+                    else:
+                        ok = x == a
+                    x, b = deref(c1), node.token
+                    if type(x) is Var:
+                        x.ref = b
+                        trail.append(x)
+                    else:
+                        ok = ok and x == b
+                else:
+                    ok = unify(call, solution_term(node), trail)
+                if not ok:
+                    raise TablingInvariantError(
+                        f"answer {node.ordinal} of g{frame.fid} does not unify with its call"
+                    )
+                if events is not None:
+                    events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
+                self.steps += 1
+                if table_len is not None:
+                    stats.nonleader_sols_consumed += 1
+                stamp = self.clock
+                yield cont
+                if window and self._looped(stamp, frame):
+                    frame.mark_looping_solution(node)
+        else:
+            # a batch: all the answers at once, without trail traffic
+            sols = list(sols)
+            if plan[0] == PLAN_TABLE:
+                self._burst_table(plan, frame, sols, via)
+            else:
+                self.raw_answers.extend(sols)
+                if events is not None:
+                    for node in sols:
+                        events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
+            self.steps += len(sols)
+            if table_len is not None:
+                stats.nonleader_sols_consumed += len(sols)
+        if table_len is not None and len(frame.solution_order) != table_len:
+            raise TablingInvariantError(
+                f"table of g{frame.fid} grew while its generator consumed it"
+            )
+        # exhausted: a non-leader generator ending here leaves its frame on
+        # the generator stack until the leader restarts or completes
+        trail.undo_to(mark)
 
     def _restart_round(self, frame) -> None:
         stats = self.stats
@@ -620,21 +633,16 @@ class Engine:
 
     # -- deliveries ------------------------------------------------------------
 
-    def _start_delivery(self, cp, sols: list) -> None:
-        cp.alts = iter(sols)
-        cp.plan = self._make_plan(cp)
-
-    def _make_plan(self, cp):
+    def _make_plan(self, frame, call, cont):
         """Classify the delivery continuation; batch plans run without
         per-solution trail traffic.  A table batch needs a flat source
         table; it takes the whole table at the first delivery, which
         follows at once, so it never meets an answer it cannot insert."""
-        call, cont = cp.call, cp.cont
         if cont is _COLLECT_CELL and call is self._template:
             # the query's own choice point.  A tabled call ending a clause has
             # this cont too, and an atom call can be the template object itself.
             return (PLAN_COLLECT,)
-        if not cp.frame.flat_pairs or type(call) is not Struct or len(call.args) != 2:
+        if not frame.flat_pairs or type(call) is not Struct or len(call.args) != 2:
             return (PLAN_GENERAL,)
         if not _ground_atomic(deref(call.args[0])):
             return (PLAN_GENERAL,)
@@ -668,40 +676,10 @@ class Engine:
             return (PLAN_GENERAL,)
         return (PLAN_GENERAL,)
 
-    def _deliver(self, cp):
-        """Hand the choice point's next answers to its continuation: all
-        the rest on a batch plan, one answer on the general plan.
-        Steps and consumed solutions are counted here, one per answer: a
-        generator whose frame is still on the generator stack is a
-        non-leader handing its table to its caller."""
-        tag = cp.plan[0]
-        cont = None
-        if tag == PLAN_COLLECT:
-            n = self._burst_collect(cp)
-        elif tag == PLAN_TABLE:
-            n = self._burst_table(cp)
-        else:
-            cont = self._deliver_general(cp)
-            n = 0 if cont is None else 1
-        nonleader = cp.kind == K_GENERATOR and cp.frame.stack_depth is not None
-        self.steps += n
-        if nonleader:
-            self.stats.nonleader_sols_consumed += n
-        if cont is not None:
-            return cont
-        if nonleader and len(cp.frame.solution_order) != cp.table_len:
-            raise TablingInvariantError(
-                f"table of g{cp.frame.fid} grew while its generator consumed it"
-            )
-        # exhausted: a non-leader generator popping here leaves its frame
-        # on the generator stack until the leader restarts or completes
-        self.trail.undo_to(cp.mark)
-        self.cps.pop()
-        return None
-
-    def _burst_table(self, cp) -> int:
-        _, parent, xnode, bumps = cp.plan
-        sols = list(cp.alts)
+    def _burst_table(self, plan, frame, sols, via) -> None:
+        """Insert the last token of each of ``frame``'s answers ``sols``
+        into the plan's parent table, counting as the general plan would."""
+        _, parent, xnode, bumps = plan
         porder = parent.solution_order
         p0 = len(porder)
         pch = xnode.children
@@ -721,58 +699,10 @@ class Engine:
             for key in bumps:
                 sc[key] = sc.get(key, 0) + len(sols)
         if self.events is not None:
-            via = _role(cp)
             for node in sols:
                 o = pch[node.token].ordinal
-                self.events.append(f"consume g{cp.frame.fid} {node.ordinal} via={via}")
+                self.events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
                 self.events.append(f"new_solution g{parent.fid} {o if o >= p0 else 'dup'}")
-        return len(sols)
-
-    def _burst_collect(self, cp) -> int:
-        take = list(cp.alts)
-        self.raw_answers.extend(take)
-        if self.events is not None:
-            via = _role(cp)
-            for node in take:
-                self.events.append(f"consume g{cp.frame.fid} {node.ordinal} via={via}")
-        return len(take)
-
-    def _deliver_general(self, cp):
-        node = next(cp.alts, None)
-        if node is None:
-            return None
-        frame = cp.frame
-        trail = self.trail
-        trail.undo_to(cp.mark)
-        if frame.flat_pairs:
-            # every stored answer is f(a, b) with a and b atomic: bind or
-            # compare the call's arguments, a at the leaf's parent, b at it
-            c0, c1 = cp.call.args
-            x, a = deref(c0), node.parent.token
-            if type(x) is Var:
-                x.ref = a
-                trail.append(x)
-                ok = True
-            else:
-                ok = x == a
-            x, b = deref(c1), node.token
-            if type(x) is Var:
-                x.ref = b
-                trail.append(x)
-            else:
-                ok = ok and x == b
-        else:
-            ok = unify(cp.call, solution_term(node), trail)
-        if not ok:
-            raise TablingInvariantError(
-                f"answer {node.ordinal} of g{frame.fid} does not unify with its call"
-            )
-        if self.events is not None:
-            self.events.append(f"consume g{frame.fid} {node.ordinal} via={_role(cp)}")
-        if self.config.drs and cp.kind != K_CONSUMER and frame.stack_depth is not None:
-            cp.window = self.clock
-            cp.cur = node
-        return cp.cont
 
 
 def query_template(goals: list):

@@ -48,23 +48,24 @@ def differences(cases, monkeypatch):
             for config in ALL_CONFIGS:
                 runs.append((f"{label} {query} {config.label}", program, query, config))
     chosen, pair_deliveries, batched = set(), [0], []
-    make_plan, deliver_general = Engine._make_plan, Engine._deliver_general
+    make_plan, tabled = Engine._make_plan, Engine._tabled
     burst_table, insert = Engine._burst_table, TableSpace.solution_check_insert
 
-    def spy(self, cp):
-        plan = make_plan(self, cp)
+    def spy(self, frame, call, cont):
+        plan = make_plan(self, frame, call, cont)
         chosen.add(plan[0])
         return plan
 
-    def spy_deliver(self, cp):
-        cont = deliver_general(self, cp)
-        pair_deliveries[0] += cont is not None and cp.frame.flat_pairs
-        return cont
+    def spy_tabled(self, kind, frame, call, cont):
+        # a general-plan delivery yields the call's own continuation; a
+        # clause yields its body, which ends in the frame's insert
+        for body in tabled(self, kind, frame, call, cont):
+            pair_deliveries[0] += body is cont and frame.flat_pairs
+            yield body
 
-    def spy_burst(self, cp):
-        n = burst_table(self, cp)
-        batched.append(n)
-        return n
+    def spy_burst(self, plan, frame, sols, via):
+        batched.append(len(sols))
+        return burst_table(self, plan, frame, sols, via)
 
     def unflat(self, sol, frame):
         is_new = insert(self, sol, frame)
@@ -73,10 +74,10 @@ def differences(cases, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(Engine, "_make_plan", spy)
-        m.setattr(Engine, "_deliver_general", spy_deliver)
+        m.setattr(Engine, "_tabled", spy_tabled)
         planned = [observe(p, q, c) for _, p, q, c in runs]
     with monkeypatch.context() as m:
-        m.setattr(Engine, "_make_plan", lambda self, cp: (PLAN_GENERAL,))
+        m.setattr(Engine, "_make_plan", lambda self, frame, call, cont: (PLAN_GENERAL,))
         general = [observe(p, q, c) for _, p, q, c in runs]
     with monkeypatch.context() as m:
         m.setattr(TableSpace, "solution_check_insert", unflat)

@@ -364,6 +364,18 @@ def test_event_log_is_line_oriented_and_deterministic():
         assert EVENT_RE.match(line), line
 
 
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.label)
+def test_a_reused_traced_engine_logs_each_run_afresh(config):
+    program, query = parse_program(":- table p/1.\np(1).\np(2).\n"), parse_query("p(X).")
+    fresh = Engine(program, config, trace=True)
+    fresh.run_query(query)
+    assert len(fresh.events) == 9
+    engine = Engine(program, config, trace=True)
+    for _ in range(2):
+        engine.run_query(query)
+        assert (engine.events, engine.steps) == (fresh.events, fresh.steps)
+
+
 def test_local_scheduling_first_delivery_after_clause_exhaustion():
     """A non-leader generator delivers to its caller only once its clause
     cursor is spent: per round, all of its alt records precede all of its

@@ -17,9 +17,10 @@ from lintab.tablespace import (
     drs_selection,
     solution_term,
 )
-from lintab.engine import ALL_CONFIGS, Engine, StrategyConfig
+from lintab.engine import ALL_CONFIGS, DEFAULT_STEP_BUDGET, Engine, StepBudgetExceeded, StrategyConfig
 from lintab.reader import parse_program, parse_query
 from lintab.terms import Functor, Struct, Var, atom, functor, term_to_str, term_tokens
+from test_engine import DRS_CONFIGS, DRS_TWO_TABLES
 
 
 def s(name, *args):
@@ -351,6 +352,23 @@ def test_tables_die_by_reference_counting(collector_off):
         assert len(engine.answers(raw)) == 81
         assert any(type(o) in kinds for o in gc.get_objects())
         del engine, raw
+        assert [o for o in gc.get_objects() if type(o) in kinds and id(o) not in known] == []
+
+
+def test_a_run_that_raises_frees_its_tables(collector_off):
+    # a run stopped part-way leaves suspended choice points behind, and
+    # they refer to the engine: they must not keep its tables alive
+    kinds = (TrieNode, SubgoalFrame)
+    known = {id(o) for o in gc.get_objects() if type(o) in kinds}
+    runs = [(GRID3, "path(X,Z).", StrategyConfig(), 500, StepBudgetExceeded)]
+    runs += [(DRS_TWO_TABLES, "p(X,1).", config, DEFAULT_STEP_BUDGET, TablingInvariantError)
+             for config in DRS_CONFIGS]
+    for text, query, config, budget, error in runs:
+        engine = Engine(parse_program(text), config, step_budget=budget)
+        with pytest.raises(error):
+            engine.run_query(parse_query(query))
+        assert any(type(o) in kinds and id(o) not in known for o in gc.get_objects())
+        del engine
         assert [o for o in gc.get_objects() if type(o) in kinds and id(o) not in known] == []
 
 
