@@ -175,11 +175,6 @@ K_GENERATOR = 0
 K_CONSUMER = 1
 K_FOLLOWER = 2
 
-# delivery plans
-PLAN_GENERAL = 0
-PLAN_TABLE = 1  # batch: insert last-arg token into the parent's table
-PLAN_COLLECT = 2  # batch: append terminals to the raw answer list
-
 
 def _role(kind, frame) -> str:
     """What a tabled choice point is to its frame, as the event log names it."""
@@ -310,8 +305,9 @@ class Engine:
                     kind = pred.kind
                     self.steps += 1
                     if kind == _P_TABLED:
-                        cont = self._tabled_call(entry, rest)
-                        continue
+                        cps.append(self._tabled(entry, rest))
+                        cont = None
+                        break
                     sc = stats.sld_calls
                     sc[pred.key] = sc.get(pred.key, 0) + 1
                     if kind == _P_FACT0:
@@ -347,7 +343,7 @@ class Engine:
             # continuation, and drop it once it has none.  Every path that
             # adds steps ends here, so one check bounds them all: one step per
             # predicate call, fact retry, clause tried or entered, answer
-            # delivered and answer handed to a table, whichever plan runs.
+            # delivered and answer handed to a table, batched or not.
             while cont is None:
                 if self.steps >= budget:
                     raise StepBudgetExceeded(f"step budget of {budget} exceeded")
@@ -404,8 +400,28 @@ class Engine:
 
     # -- tabled calls --------------------------------------------------------
 
-    def _tabled_call(self, goal, rest):
-        frame, _existed = self.ts.subgoal_check_insert(goal)
+    def _new_solution(self, entry) -> None:
+        frame = entry.frame
+        stats = self.stats
+        is_new = self.ts.solution_check_insert(entry.sol, frame)
+        self.steps += 1
+        if is_new:
+            stats.answers_emitted += 1
+            if self.events is not None:
+                self.events.append(f"new_solution g{frame.fid} {len(frame.solution_order) - 1}")
+        elif self.events is not None:
+            self.events.append(f"new_solution g{frame.fid} dup")
+
+    def _tabled(self, call, cont):
+        """A tabled call, from its frame lookup to its last delivery.  As a
+        generator, follower or consumer it enters the frame's next clause
+        until it has answers to deliver, then delivers them.  A clause or
+        answer loops iff a repeated call made while it ran, the span of its
+        ``yield``, reached this frame or one below (a frame's depth cannot
+        change while its own choice point runs)."""
+        stats = self.stats
+        events = self.events
+        frame, _existed = self.ts.subgoal_check_insert(call)
         state = frame.state
         if state == READY or state == LOOP_READY:
             frame.set_state(EVALUATING if state == READY else LOOP_EVALUATING)
@@ -420,38 +436,13 @@ class Engine:
             # evaluating / loop_evaluating: a repeated call
             self._record_event(frame.stack_depth)
             if self.config.dre and frame.next_alternative < len(frame.alt_seq):
-                self.stats.followers_created += 1
+                stats.followers_created += 1
                 kind = K_FOLLOWER
             else:
                 kind = K_CONSUMER
-        self.cps.append(self._tabled(kind, frame, goal, rest))
-        if self.events is not None:
-            self.events.append(f"call g{frame.fid} {_role(kind, frame)}")
-        return None
-
-    def _new_solution(self, entry) -> None:
-        frame = entry.frame
-        stats = self.stats
-        is_new = self.ts.solution_check_insert(entry.sol, frame)
-        self.steps += 1
-        if is_new:
-            stats.answers_emitted += 1
-            if self.events is not None:
-                self.events.append(f"new_solution g{frame.fid} {len(frame.solution_order) - 1}")
-        elif self.events is not None:
-            self.events.append(f"new_solution g{frame.fid} dup")
-
-    # -- tabled choice points: clauses, fix-point, restart, completion ------
-
-    def _tabled(self, kind, frame, call, cont):
-        """A generator, follower or consumer: enter the frame's next clause
-        until the choice point has answers to deliver, then deliver them.
-        A clause or answer loops iff a repeated call made while it ran, the
-        span of its ``yield``, reached this frame or one below (a frame's
-        depth cannot change while its own choice point runs)."""
+        if events is not None:
+            events.append(f"call g{frame.fid} {_role(kind, frame)}")
         trail = self.trail
-        stats = self.stats
-        events = self.events
         mark = len(trail)
         sols = frame.solution_order
         table_len = None  # table size when a non-leader starts consuming
@@ -510,12 +501,13 @@ class Engine:
                     self._complete_scc(frame)
                     break
 
-        # deliveries.  Steps and consumed solutions are counted one per
-        # answer: a generator whose table length was taken above is a
-        # non-leader handing its table to its caller.
+        # deliveries: one batch step, or the general loop.  Steps and
+        # consumed solutions are counted one per answer: a generator whose
+        # table length was taken above is a non-leader handing its table to
+        # its caller.
         via = None if events is None else _role(kind, frame)
-        plan = self._make_plan(frame, call, cont)
-        if plan[0] == PLAN_GENERAL:
+        n = self._batch(frame, call, cont, sols, via)
+        if n is None:
             # one answer per resumption, through the continuation; DRS marks
             # the answers a generator or follower of an open frame hands on
             window = self.config.drs and kind != K_CONSUMER and frame.stack_depth is not None
@@ -554,19 +546,8 @@ class Engine:
                 yield cont
                 if window and self._looped(stamp, frame):
                     frame.mark_looping_solution(node)
-        else:
-            # a batch: all the answers at once, without trail traffic
-            sols = list(sols)
-            if plan[0] == PLAN_TABLE:
-                self._burst_table(plan, frame, sols, via)
-            else:
-                self.raw_answers.extend(sols)
-                if events is not None:
-                    for node in sols:
-                        events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
-            self.steps += len(sols)
-            if table_len is not None:
-                stats.nonleader_sols_consumed += len(sols)
+        elif table_len is not None:
+            stats.nonleader_sols_consumed += n
         if table_len is not None and len(frame.solution_order) != table_len:
             raise TablingInvariantError(
                 f"table of g{frame.fid} grew while its generator consumed it"
@@ -631,55 +612,53 @@ class Engine:
             )
         m[clause] = role
 
-    # -- deliveries ------------------------------------------------------------
+    # -- batch deliveries ----------------------------------------------------
 
-    def _make_plan(self, frame, call, cont):
-        """Classify the delivery continuation; batch plans run without
-        per-solution trail traffic.  A table batch needs a flat source
-        table; it takes the whole table at the first delivery, which
-        follows at once, so it never meets an answer it cannot insert."""
+    def _batch(self, frame, call, cont, sols, via):
+        """Deliver all of ``sols`` at once, without trail traffic, counting
+        as the general loop would, and return how many there were; or return
+        None when only the general loop can deliver them.  The collect batch
+        serves the query's own choice point.  The table batch needs a flat
+        source table and a continuation that inserts the call's last
+        argument into the parent's table; it takes the whole table at the
+        first delivery, which follows at once, so it never meets an answer
+        it cannot insert."""
+        events = self.events
         if cont is _COLLECT_CELL and call is self._template:
             # the query's own choice point.  A tabled call ending a clause has
             # this cont too, and an atom call can be the template object itself.
-            return (PLAN_COLLECT,)
+            self.raw_answers.extend(sols)
+            if events is not None:
+                for node in sols:
+                    events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
+            self.steps += len(sols)
+            return len(sols)
         if not frame.flat_pairs or type(call) is not Struct or len(call.args) != 2:
-            return (PLAN_GENERAL,)
-        if not _ground_atomic(deref(call.args[0])):
-            return (PLAN_GENERAL,)
+            return None
         cv = deref(call.args[1])
-        if type(cv) is not Var:
-            return (PLAN_GENERAL,)
+        if not _ground_atomic(deref(call.args[0])) or type(cv) is not Var:
+            return None
+        # every continuation ends in the query's collect cell or an insert
         bumps = []
-        c = cont
-        while c is not None:
-            entry = c[0]
-            te = type(entry)
-            if te is Functor:
-                p = self.preds.get(entry)
-                if p is not None and p.kind == _P_FACT0:
-                    bumps.append(p.key)
-                    c = c[1]
-                    continue
-                return (PLAN_GENERAL,)
-            if te is _NewSol:
-                # whatever follows the insert never runs: a new solution
-                # always fails back under local scheduling
-                sol = entry.sol
-                if type(sol) is not Struct or len(sol.args) != 2:
-                    return (PLAN_GENERAL,)
-                a0 = deref(sol.args[0])
-                if not _ground_atomic(a0) or deref(sol.args[1]) is not cv:
-                    return (PLAN_GENERAL,)
-                parent = entry.frame
-                xnode = child(parent.sol_func_node, a0)
-                return (PLAN_TABLE, parent, xnode, tuple(bumps))
-            return (PLAN_GENERAL,)
-        return (PLAN_GENERAL,)
-
-    def _burst_table(self, plan, frame, sols, via) -> None:
-        """Insert the last token of each of ``frame``'s answers ``sols``
-        into the plan's parent table, counting as the general plan would."""
-        _, parent, xnode, bumps = plan
+        entry, rest = cont
+        while type(entry) is Functor:
+            p = self.preds.get(entry)
+            if p is None or p.kind != _P_FACT0:
+                return None
+            bumps.append(p.key)
+            entry, rest = rest
+        if type(entry) is not _NewSol:
+            return None
+        # whatever follows the insert never runs: a new solution always fails
+        # back under local scheduling
+        sol = entry.sol
+        if type(sol) is not Struct or len(sol.args) != 2:
+            return None
+        a0 = deref(sol.args[0])
+        if not _ground_atomic(a0) or deref(sol.args[1]) is not cv:
+            return None
+        parent = entry.frame
+        xnode = child(parent.sol_func_node, a0)
         porder = parent.solution_order
         p0 = len(porder)
         pch = xnode.children
@@ -692,17 +671,19 @@ class Engine:
                 porder.append(nn)
                 pch[z] = nn
         self.stats.answers_emitted += len(porder) - p0
-        # as on the general plan: a step per 0-ary fact passed and per insert
-        self.steps += len(sols) * (1 + len(bumps))
+        # as on the general loop: a step per answer delivered, per 0-ary fact
+        # passed and per insert
+        self.steps += len(sols) * (2 + len(bumps))
         if bumps and sols:
             sc = self.stats.sld_calls
             for key in bumps:
                 sc[key] = sc.get(key, 0) + len(sols)
-        if self.events is not None:
+        if events is not None:
             for node in sols:
                 o = pch[node.token].ordinal
-                self.events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
-                self.events.append(f"new_solution g{parent.fid} {o if o >= p0 else 'dup'}")
+                events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
+                events.append(f"new_solution g{parent.fid} {o if o >= p0 else 'dup'}")
+        return len(sols)
 
 
 def query_template(goals: list):

@@ -1,16 +1,16 @@
-"""The delivery plans and the flat-pair path are optimisations nobody can
-observe.
+"""The batch deliveries and the flat-pair path are optimisations nobody
+can observe.
 
-The general plan (one answer per retry, through ``unify`` and the
+The general loop (one answer per resumption, through ``unify`` and the
 continuation) is the specification.  Every test here runs each cell three
-times: once as the engine plans it; once with ``Engine._make_plan``
-swapped for a stub that always answers the general plan; and once with
-``TableSpace.solution_check_insert`` wrapped so that it clears
-``frame.flat_pairs`` after every insert, so that every general delivery
-runs ``unify(call, solution_term(node))`` and no table batch delivers an
-answer.  Both references must give the planned run's decoded answers in
-order, ``EvalStats``, ``engine.steps``, event log and error line.  The
-stub and the wrapper are test fakes, not engine options.
+times: once as the engine plans it; once with ``Engine._batch`` swapped
+for a stub that always returns None, which sends every table through the
+general loop; and once with ``TableSpace.solution_check_insert`` wrapped
+so that it clears ``frame.flat_pairs`` after every insert, so that every
+general delivery runs ``unify(call, solution_term(node))`` and no table
+batch delivers an answer.  Both references must give the planned run's
+decoded answers in order, ``EvalStats``, ``engine.steps``, event log and
+error line.  The stub and the wrapper are test fakes, not engine options.
 """
 
 import random
@@ -20,7 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 from counter_matrix import SMALL_PROGRAMS, cells, random_program, run  # noqa: E402
-from lintab.engine import ALL_CONFIGS, PLAN_COLLECT, PLAN_GENERAL, PLAN_TABLE, Engine  # noqa: E402
+from lintab.engine import ALL_CONFIGS, Engine  # noqa: E402
 from lintab.reader import parse_program  # noqa: E402
 from lintab.tablespace import TableSpace  # noqa: E402
 from lintab.terms import term_to_str  # noqa: E402
@@ -40,7 +40,7 @@ def differences(cases, monkeypatch):
     """Run every (label, program text, queries) case under all 8 configs:
     planned, general and without the pair path.  Returns the cell count,
     the cells whose observations differ from the planned run and the set
-    of plans the planned runs chose."""
+    of deliveries the planned runs chose: general, table or collect."""
     runs = []
     for label, text, queries in cases:
         program = parse_program(text)
@@ -48,24 +48,30 @@ def differences(cases, monkeypatch):
             for config in ALL_CONFIGS:
                 runs.append((f"{label} {query} {config.label}", program, query, config))
     chosen, pair_deliveries, batched = set(), [0], []
-    make_plan, tabled = Engine._make_plan, Engine._tabled
-    burst_table, insert = Engine._burst_table, TableSpace.solution_check_insert
+    batch, tabled, insert = Engine._batch, Engine._tabled, TableSpace.solution_check_insert
 
-    def spy(self, frame, call, cont):
-        plan = make_plan(self, frame, call, cont)
-        chosen.add(plan[0])
-        return plan
+    def kind_of(self, call, n):
+        """How ``_batch`` delivered, from what it returned."""
+        return "general" if n is None else "collect" if call is self._template else "table"
 
-    def spy_tabled(self, kind, frame, call, cont):
-        # a general-plan delivery yields the call's own continuation; a
+    def spy(self, frame, call, cont, sols, via):
+        n = batch(self, frame, call, cont, sols, via)
+        chosen.add(kind_of(self, call, n))
+        return n
+
+    def spy_tabled(self, call, cont):
+        # a general-loop delivery yields the call's own continuation; a
         # clause yields its body, which ends in the frame's insert
-        for body in tabled(self, kind, frame, call, cont):
-            pair_deliveries[0] += body is cont and frame.flat_pairs
+        gen = tabled(self, call, cont)
+        for body in gen:
+            pair_deliveries[0] += body is cont and gen.gi_frame.f_locals["frame"].flat_pairs
             yield body
 
-    def spy_burst(self, plan, frame, sols, via):
-        batched.append(len(sols))
-        return burst_table(self, plan, frame, sols, via)
+    def spy_unpaired(self, frame, call, cont, sols, via):
+        n = batch(self, frame, call, cont, sols, via)
+        if kind_of(self, call, n) == "table":
+            batched.append(n)
+        return n
 
     def unflat(self, sol, frame):
         is_new = insert(self, sol, frame)
@@ -73,15 +79,15 @@ def differences(cases, monkeypatch):
         return is_new
 
     with monkeypatch.context() as m:
-        m.setattr(Engine, "_make_plan", spy)
+        m.setattr(Engine, "_batch", spy)
         m.setattr(Engine, "_tabled", spy_tabled)
         planned = [observe(p, q, c) for _, p, q, c in runs]
     with monkeypatch.context() as m:
-        m.setattr(Engine, "_make_plan", lambda self, frame, call, cont: (PLAN_GENERAL,))
+        m.setattr(Engine, "_batch", lambda self, frame, call, cont, sols, via: None)
         general = [observe(p, q, c) for _, p, q, c in runs]
     with monkeypatch.context() as m:
         m.setattr(TableSpace, "solution_check_insert", unflat)
-        m.setattr(Engine, "_burst_table", spy_burst)
+        m.setattr(Engine, "_batch", spy_unpaired)
         unpaired = [observe(p, q, c) for _, p, q, c in runs]
     assert pair_deliveries[0] > 0, "the planned runs never took the pair path"
     assert not any(batched), "a table batch delivered answers without the pair path"
@@ -123,12 +129,12 @@ def test_graph_cells_deliver_as_the_general_plan(monkeypatch):
     assert any("slds=True" in key for key, _, _ in graphs)
     n, diffs, chosen = differences(graphs, monkeypatch)
     assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
-    assert chosen == {PLAN_GENERAL, PLAN_TABLE, PLAN_COLLECT}
+    assert chosen == {"general", "table", "collect"}
 
 
 def test_wrapped_random_programs_deliver_as_the_general_plan(monkeypatch):
     n, diffs, chosen = differences(wrapped_random_programs(), monkeypatch)
     assert n == WRAPPED_PROGRAMS * 4 * 8
     assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
-    assert chosen == {PLAN_GENERAL, PLAN_TABLE, PLAN_COLLECT}
+    assert chosen == {"general", "table", "collect"}
 
