@@ -9,7 +9,7 @@ clause body or an answer delivery); failing means resuming the youngest
 one, and popping it once it is exhausted.
 
 Leadership and loop marking are tracked lazily.  Every repeated call
-records a dependency event (stamp, target depth).  A generator is a
+records a dependency event (stamp, target lowlink).  A generator is a
 leader at its fix-point check iff no event since its push targets a
 frame below it; a clause alternative (or a solution being propagated)
 is loop-marked iff some event during its window, the span of the
@@ -24,7 +24,7 @@ Three optimizations combine freely:
   call through the frame's shared cursor, then consumes.
 * dra: re-evaluation rounds run only loop-marked alternatives.
 * drs: non-leader generators propagate only loop-marked solutions plus
-  the ones new in the current round.
+  the ones new since the generator was installed.
 """
 
 from __future__ import annotations
@@ -433,8 +433,15 @@ class Engine:
         elif state == COMPLETE:
             kind = K_CONSUMER
         else:
-            # evaluating / loop_evaluating: a repeated call
-            self._record_event(frame.stack_depth)
+            # evaluating / loop_evaluating: a repeated call.  It records the
+            # target's lowlink, as the SLG-WAM's completion check does: the
+            # target's depth, or the lowest frame a repeated call since the
+            # target's push reached, if that is lower.  The consumer then
+            # depends on whatever the target depends on, so the window that
+            # consumes its incomplete table is loop-marked.
+            md = self._min_event_depth_since(frame.push_stamp)
+            depth = frame.stack_depth
+            self._record_event(depth if md is None else min(depth, md))
             if self.config.dre and frame.next_alternative < len(frame.alt_seq):
                 stats.followers_created += 1
                 kind = K_FOLLOWER
@@ -442,6 +449,9 @@ class Engine:
                 kind = K_CONSUMER
         if events is not None:
             events.append(f"call g{frame.fid} {_role(kind, frame)}")
+        # DRS hands on the answers new since this generator was installed;
+        # a non-leader's own restart moves round_start, but not this
+        start = frame.round_start
         trail = self.trail
         mark = len(trail)
         sols = frame.solution_order
@@ -487,7 +497,7 @@ class Engine:
                     # made once, here
                     table_len = len(sols)
                     if self.config.drs:
-                        sols = drs_selection(frame)
+                        sols = drs_selection(frame, start)
                     break
                 # md == depth means a repeated call targeted this frame: the
                 # subgoal depends on itself, so a round that grew any table in

@@ -136,10 +136,10 @@ def solution_term(node: TrieNode):
     return t
 
 
-def drs_selection(frame: SubgoalFrame) -> list[TrieNode]:
+def drs_selection(frame: SubgoalFrame, start: int) -> list[TrieNode]:
     """The answers a non-leader generator hands its caller under DRS:
-    loop-marked ones plus those new in the current round, in table order."""
-    start = frame.round_start
+    loop-marked ones plus those from ordinal ``start`` on (the table size
+    when the generator was installed), in table order."""
     looping = frame.looping_solutions
     return [n for n in frame.solution_order if n.ordinal >= start or n.ordinal in looping]
 

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "1804b840bb335762bc48c238e28769becd3d05b0b0322a31fafae14119944498"
+DIGEST = "6e0caa7c31f4bf32e1f7c8a6223653b6b8c27e3f841b0d725d01c98c2d805e8a"
 
 RECIPE = """counter matrix changed: SHA-256 {got}, recorded {want}.
 To see which cells differ, and in which fields, run the script on the

@@ -2,11 +2,12 @@
 model that shares no code with the engine (``scripts/least_model.py``).
 
 The counter matrix's random block (seed 2, 300 programs, all 8
-configurations) must fail in exactly the cells recorded here, so a new
-failure fails the test and so does a fixed one, which then comes off the
-list.  The known DRA and DRS faults are strict xfails against the least
-model, and the configurations they pass under are asserted equal to it.
-``scripts/least_model_check.py`` runs the same check over 48,000 cells.
+configurations) must fail in exactly the cells recorded here, none since
+dependency events carry the lowlink, so a new failure fails the test.
+ROADMAP item 1's repros are checked against the least model under all 8
+configurations.  The 9 cells still failing on seeds 4-7 are strict xfails
+until ROADMAP item 2 mends them.  ``scripts/least_model_check.py`` runs
+the same check over 24,000 cells a seed.
 """
 
 import sys
@@ -36,14 +37,7 @@ def test_least_model_grounds_unbound_head_variables():
     assert instances(query[0], {1, 2}) == {("p", (1, 1)), ("p", (2, 2))}
 
 
-RECORDED_FAILURES = {
-    (91, "dre+dra"): "TablingInvariantError: frame q(1,1) not complete at exit",
-    (91, "dre+dra+drs"): "TablingInvariantError: frame q(1,1) not complete at exit",
-    (207, "dra"): "TablingInvariantError: frame p(3,3) not complete at exit",
-    (207, "dra+drs"): "TablingInvariantError: frame p(3,3) not complete at exit",
-    (207, "dre+dra"): "TablingInvariantError: frame p(3,3) not complete at exit",
-    (207, "dre+dra+drs"): "TablingInvariantError: frame p(3,3) not complete at exit",
-}
+RECORDED_FAILURES = {}
 
 
 def test_random_programs_fail_only_in_the_recorded_cells():
@@ -54,33 +48,66 @@ def test_random_programs_fail_only_in_the_recorded_cells():
     assert got == RECORDED_FAILURES
 
 
-# ROADMAP item 1's repros: the program, the query, and each failing
-# configuration with the exception its cell raises (AssertionError: the
-# answers differ from the least model)
+# The program, the query, and each failing configuration with the exception
+# its cell raises (AssertionError: the answers differ from the least model).
+# ROADMAP item 1's repros fail nowhere since dependency events carry the
+# lowlink; the cells named by seed and index, as
+# counter_matrix.random_program generates them, still fail under DRS.
 REPROS = {
     "repro_a": (
         ":- table p/2.\n:- table q/2.\np(X,Z) :- q(Y,Z), p(X,X).\np(Y,Z) :- q(Z,Y).\n"
         "q(Z,X) :- p(Z,X), e(W,Z).\nq(Z,X) :- e(Z,X).\ne(3,2).\ne(3,4).\ne(4,1).\ne(4,4).\n",
         "q(2,Y).",
-        {"dra": AssertionError, "dra+drs": AssertionError},  # they lose q(2,4)
+        {},
     ),
     "repro_b": (
         ":- table p/2.\np(X,Y) :- p(X,X), p(Y,W).\np(Y,X) :- p(X,X), p(Y,X).\n"
         "p(Z,Y) :- e(W,Y), e(W,Z).\ne(2,1).\ne(2,3).\ne(3,2).\ne(4,2).\n",
         "p(1,Y).",
-        # drs and dra+drs lose p(1,2)
-        {"dra": TablingInvariantError, "drs": AssertionError, "dra+drs": AssertionError},
+        {},
     ),
     "repro_c": (
         ":- table p/2.\np(Z,W) :- p(W,Z), e(X,Y).\np(W,Y) :- e(Y,W).\np(Y,X) :- p(Z,X).\n"
         "p(X,Z) :- p(X,Z).\np(Y,W) :- e(X,X), p(Y,Y).\ne(1,4).\ne(4,1).\ne(4,4).\n",
         "p(4,Y).",
-        {c.label: TablingInvariantError for c in ALL_CONFIGS if c.dra},
+        {},
     ),
     "three_cycle_double_recursion": (
         ":- table p/2.\np(X,Y) :- p(X,Z), p(Z,Y).\np(X,Y) :- e(X,Y).\ne(1,2).\ne(2,3).\ne(3,1).\n",
         "p(1,Y).",
-        {"drs": AssertionError, "dra+drs": AssertionError},  # they give only p(1,2)
+        {},
+    ),
+    "seed4_119": (
+        ":- table p/2.\np(Z,W) :- e(X,Z), p(W,W).\np(Y,Z) :- p(Y,Y).\np(X,Z) :- e(Y,X), p(Y,X).\n"
+        "p(W,W) :- p(W,X), p(X,X).\np(Y,Z) :- e(Y,Y), e(Z,X).\n"
+        "e(1,2).\ne(4,3).\ne(3,3).\ne(1,2).\ne(4,2).\n",
+        "p(2,X).",
+        {"drs": AssertionError, "dra+drs": AssertionError},  # they lose p(2,1) and p(2,4)
+    ),
+    "seed5_1482": (
+        ":- table p/2.\n:- table q/2.\np(Y,W) :- p(W,X), p(Z,X).\np(W,X) :- e(X,X).\n"
+        "q(Y,W) :- e(Y,Z).\np(W,X) :- p(Y,Y), e(X,Z).\nq(Y,W) :- p(X,X), p(Z,W).\ne(2,1).\ne(2,2).\n",
+        "q(4,Y).",
+        {"drs": AssertionError, "dra+drs": AssertionError},  # they lose q(4,1) and q(4,4)
+    ),
+    "seed6_1890": (
+        ":- table p/2.\n:- table q/2.\np(W,Z) :- e(Y,W).\nq(Y,X) :- p(X,Z), p(Z,X).\n"
+        "p(Z,Y) :- q(W,W), q(X,Y).\np(W,Z) :- q(W,X), e(W,W).\nq(Y,Y) :- q(X,Y).\ne(2,1).\ne(2,2).\n",
+        "p(1,2).",
+        {"dre+drs": TablingInvariantError, "dre+dra+drs": TablingInvariantError},
+    ),
+    "seed6_2818": (
+        ":- table p/2.\np(W,X) :- p(Y,X), p(W,W).\np(X,X) :- p(Y,Z).\np(Z,W) :- e(Y,Y), e(W,X).\n"
+        "p(Z,Z) :- e(Z,Z), e(Z,X).\ne(2,2).\ne(3,1).\ne(2,2).\ne(2,3).\ne(4,1).\ne(3,1).\n",
+        "p(Y,4).",
+        {"drs": TablingInvariantError, "dra+drs": TablingInvariantError},
+    ),
+    "seed7_666": (
+        ":- table p/2.\n:- table q/2.\np(Z,X) :- q(X,W).\nq(Z,W) :- e(Z,Y).\n"
+        "p(W,Y) :- q(Z,X), q(W,Z).\nq(Z,X) :- p(X,X).\n"
+        "e(3,2).\ne(1,3).\ne(1,1).\ne(4,3).\ne(2,2).\ne(2,3).\n",
+        "q(4,1).",
+        {"dre+dra+drs": TablingInvariantError},
     ),
 }
 
@@ -90,7 +117,7 @@ def repro_cells():
         for config in ALL_CONFIGS:
             raises = failing.get(config.label)
             marks = () if raises is None else pytest.mark.xfail(
-                strict=True, raises=raises, reason="unsound DRA/DRS (ROADMAP item 1)")
+                strict=True, raises=raises, reason="DRS decides per frame what was handed on (ROADMAP item 2)")
             yield pytest.param(name, config, marks=marks, id=f"{name}-{config.label}")
 
 

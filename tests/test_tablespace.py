@@ -20,7 +20,7 @@ from lintab.tablespace import (
 from lintab.engine import ALL_CONFIGS, DEFAULT_STEP_BUDGET, Engine, StepBudgetExceeded, StrategyConfig
 from lintab.reader import parse_program, parse_query
 from lintab.terms import Functor, Struct, Var, atom, functor, term_to_str, term_tokens
-from test_engine import DRS_CONFIGS, DRS_TWO_TABLES
+from test_engine import RAISES, RAISES_CONFIGS, RAISES_QUERY
 
 
 def s(name, *args):
@@ -103,18 +103,18 @@ def test_load_all_insertion_order():
 def test_load_current_round_only():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2])
-    f.round_start = 2  # the table size when the round began
+    start = 2  # the table size when the generator was installed
     insert_ints(ts, f, [3])
-    got = [solution_term(n).args[0] for n in drs_selection(f)]
+    got = [solution_term(n).args[0] for n in drs_selection(f, start)]
     assert got == [3]
 
 
 def test_load_looping_only():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2])
-    f.round_start = 2  # no answer is new in this round
     f.mark_looping_solution(f.solution_order[0])
-    got = [solution_term(n).args[0] for n in drs_selection(f)]
+    # no answer is new since the generator was installed
+    got = [solution_term(n).args[0] for n in drs_selection(f, 2)]
     assert got == [1]
 
 
@@ -122,8 +122,7 @@ def test_load_looping_plus_round_deduplicated():
     ts, f = make_frame()
     insert_ints(ts, f, [1, 2, 3])
     f.mark_looping_solution(f.solution_order[2])
-    f.round_start = 2
-    got = [solution_term(n).args[0] for n in drs_selection(f)]
+    got = [solution_term(n).args[0] for n in drs_selection(f, 2)]
     assert got == [3]
 
 
@@ -159,7 +158,7 @@ def test_begin_round_resets_marker():
     eng._begin_round(f)
     # the answer stored before the round is not new in it
     assert (f.round_start, f.push_stamp) == (1, 7)
-    assert drs_selection(f) == []
+    assert drs_selection(f, f.round_start) == []
     assert (f.next_alternative, tuple(f.alt_seq)) == (0, (0, 1))
 
 
@@ -313,10 +312,9 @@ def test_prop_looping_plus_round_is_subsequence_of_all(vals, data):
     for node in frame.solution_order:
         if data.draw(st.booleans()):
             frame.mark_looping_solution(node)
-    start = data.draw(st.integers(0, n))  # n: no answer new in the round
-    frame.round_start = start
+    start = data.draw(st.integers(0, n))  # n: no answer new since the install
     all_sols = [n_.ordinal for n_ in frame.solution_order]
-    some = [n_.ordinal for n_ in drs_selection(frame)]
+    some = [n_.ordinal for n_ in drs_selection(frame, start)]
     it = iter(all_sols)
     assert all(x in it for x in some)  # subsequence check
     assert len(set(some)) == len(some)
@@ -361,8 +359,8 @@ def test_a_run_that_raises_frees_its_tables(collector_off):
     kinds = (TrieNode, SubgoalFrame)
     known = {id(o) for o in gc.get_objects() if type(o) in kinds}
     runs = [(GRID3, "path(X,Z).", StrategyConfig(), 500, StepBudgetExceeded)]
-    runs += [(DRS_TWO_TABLES, "p(X,1).", config, DEFAULT_STEP_BUDGET, TablingInvariantError)
-             for config in DRS_CONFIGS]
+    runs += [(RAISES, RAISES_QUERY, config, DEFAULT_STEP_BUDGET, TablingInvariantError)
+             for config in RAISES_CONFIGS]
     for text, query, config, budget, error in runs:
         engine = Engine(parse_program(text), config, step_budget=budget)
         with pytest.raises(error):
