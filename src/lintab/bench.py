@@ -267,6 +267,9 @@ def run_matrix(spec: BenchSpec) -> BenchReport:
             continue
         wall = (time.perf_counter() - t0) * 1000.0
         answers = engine.answers(raw)
+        # free the tables now: the answer-pair sets below allocate enough to
+        # trigger collections, which would walk every live trie node
+        del engine, raw
         got = {(t.args[0], t.args[1]) for t in answers}
         # a duplicated answer is as wrong as a missing one
         if len(got) != len(answers) or got != expected:
