@@ -170,19 +170,13 @@ def _ground_atomic(t) -> bool:
 
 # choice points ---------------------------------------------------------
 
-# what a tabled choice point is to its frame
-K_GENERATOR = 0
-K_CONSUMER = 1
-K_FOLLOWER = 2
-
 
 def _role(kind, frame) -> str:
-    """What a tabled choice point is to its frame, as the event log names it."""
-    if kind == K_FOLLOWER:
-        return "follower"
-    if frame.state == COMPLETE:
+    """What a tabled choice point of ``kind`` ("generator", "consumer" or
+    "follower") is to its frame, as the event log names it."""
+    if kind != "follower" and frame.state == COMPLETE:
         return "completed"
-    return "generator" if kind == K_GENERATOR else "consumer"
+    return kind
 
 
 class Engine:
@@ -223,7 +217,7 @@ class Engine:
         self.steps = 0
         self.raw_answers: list = []
         self._template = query_template(goals) if goals else None
-        self._roles: dict = {}  # fid -> {clause: "pioneer" | "follower"} this round
+        self._roles: dict = {}  # fid -> {clause: "generator" | "follower"} this round
 
     # -- dependency events ----------------------------------------------
 
@@ -269,6 +263,7 @@ class Engine:
                 # drop them, so the tables still die by reference counting.
                 self.trail.undo_to(0)
                 self.cps.clear()
+                self.stats.answers_emitted = sum(len(f.solution_order) for f in self.ts.frames)
         if self.gen_stack:
             raise TablingInvariantError("generator stack not empty at exit")
         for f in self.ts.frames:
@@ -330,7 +325,12 @@ class Engine:
                     cont = None
                     break
                 if te is _NewSol:
-                    self._new_solution(entry)
+                    frame = entry.frame
+                    is_new = self.ts.solution_check_insert(entry.sol, frame)
+                    self.steps += 1
+                    if self.events is not None:
+                        o = len(frame.solution_order) - 1 if is_new else "dup"
+                        self.events.append(f"new_solution g{frame.fid} {o}")
                     cont = None
                     break
                 if te is _Collect:
@@ -400,18 +400,6 @@ class Engine:
 
     # -- tabled calls --------------------------------------------------------
 
-    def _new_solution(self, entry) -> None:
-        frame = entry.frame
-        stats = self.stats
-        is_new = self.ts.solution_check_insert(entry.sol, frame)
-        self.steps += 1
-        if is_new:
-            stats.answers_emitted += 1
-            if self.events is not None:
-                self.events.append(f"new_solution g{frame.fid} {len(frame.solution_order) - 1}")
-        elif self.events is not None:
-            self.events.append(f"new_solution g{frame.fid} dup")
-
     def _tabled(self, call, cont):
         """A tabled call, from its frame lookup to its last delivery.  As a
         generator, follower or consumer it enters the frame's next clause
@@ -429,9 +417,9 @@ class Engine:
             frame.stack_depth = len(gs)
             gs.append(frame)
             self._begin_round(frame)
-            kind = K_GENERATOR
+            kind = "generator"
         elif state == COMPLETE:
-            kind = K_CONSUMER
+            kind = "consumer"
         else:
             # evaluating / loop_evaluating: a repeated call.  It records the
             # target's lowlink, as the SLG-WAM's completion check does: the
@@ -444,9 +432,9 @@ class Engine:
             self._record_event(depth if md is None else min(depth, md))
             if self.config.dre and frame.next_alternative < len(frame.alt_seq):
                 stats.followers_created += 1
-                kind = K_FOLLOWER
+                kind = "follower"
             else:
-                kind = K_CONSUMER
+                kind = "consumer"
         if events is not None:
             events.append(f"call g{frame.fid} {_role(kind, frame)}")
         # DRS hands on the answers new since this generator was installed;
@@ -456,11 +444,10 @@ class Engine:
         mark = len(trail)
         sols = frame.solution_order
         table_len = None  # table size when a non-leader starts consuming
-        if kind != K_CONSUMER:
+        if kind != "consumer":
             dra = self.config.dra
             clauses = self.preds[frame.functor].clauses
             ns_cell = (_NewSol(frame, call), None)
-            role = "pioneer" if kind == K_GENERATOR else "follower"
             while True:
                 # the shared cursor; a frame off the generator stack has no
                 # pioneer left to follow
@@ -473,7 +460,7 @@ class Engine:
                         continue
                     stats.alts_explored += 1
                     self.steps += 1
-                    self._note_role(frame, ci, role)
+                    self._note_role(frame, ci, kind)
                     if dra and frame.state == LOOP_EVALUATING and ci not in frame.looping_alternatives:
                         raise TablingInvariantError(f"loop round ran non-looping clause {ci}")
                     if events is not None:
@@ -484,7 +471,7 @@ class Engine:
                     if dra and self._looped(stamp, frame):
                         frame.looping_alternatives.setdefault(ci)
                 trail.undo_to(mark)
-                if kind == K_FOLLOWER:
+                if kind == "follower":
                     break  # followers always consume everything
                 # the generator's cursor is exhausted: fix-point check
                 depth = frame.stack_depth
@@ -520,7 +507,7 @@ class Engine:
         if n is None:
             # one answer per resumption, through the continuation; DRS marks
             # the answers a generator or follower of an open frame hands on
-            window = self.config.drs and kind != K_CONSUMER and frame.stack_depth is not None
+            window = self.config.drs and kind != "consumer" and frame.stack_depth is not None
             for node in sols:
                 trail.undo_to(mark)
                 if frame.flat_pairs:
@@ -613,14 +600,14 @@ class Engine:
             self.events.append(f"fixpoint g{frame.fid} complete")
             self.events.append(f"complete g{frame.fid}")
 
-    def _note_role(self, frame, clause, role) -> None:
+    def _note_role(self, frame, clause, kind) -> None:
         m = self._roles[frame.fid]
         prev = m.get(clause)
-        if prev is not None and prev != role:
+        if prev is not None and prev != kind:
             raise TablingInvariantError(
                 f"clause {clause} run by both pioneer and follower"
             )
-        m[clause] = role
+        m[clause] = kind
 
     # -- batch deliveries ----------------------------------------------------
 
@@ -680,7 +667,6 @@ class Engine:
                 nn.ordinal = len(porder)
                 porder.append(nn)
                 pch[z] = nn
-        self.stats.answers_emitted += len(porder) - p0
         # as on the general loop: a step per answer delivered, per 0-ary fact
         # passed and per insert
         self.steps += len(sols) * (2 + len(bumps))
