@@ -86,11 +86,24 @@ def deref(t):
     return t
 
 
+def _occurs(v: Var, t) -> bool:
+    """Whether the unbound variable ``v`` occurs in ``t``."""
+    stack = [t]
+    while stack:
+        x = deref(stack.pop())
+        if x is v:
+            return True
+        if type(x) is Struct:
+            stack.extend(x.args)
+    return False
+
+
 def unify(a, b, trail: Trail) -> bool:
     """Destructively unify, recording bindings on ``trail``.
 
-    No occurs check: programs under evaluation are definite clauses over
-    finite graphs and never build cyclic terms through the engine.
+    Sound: a variable is never bound to a compound term that contains it,
+    so unification builds no cyclic term.  The occurs check runs only on
+    variable-to-compound bindings, the only ones that can close a cycle.
     """
     stack = [(a, b)]
     while stack:
@@ -101,10 +114,14 @@ def unify(a, b, trail: Trail) -> bool:
             continue
         tx = type(x)
         if tx is Var:
+            if type(y) is Struct and _occurs(x, y):
+                return False
             x.ref = y
             trail.append(x)
             continue
         if type(y) is Var:
+            if tx is Struct and _occurs(y, x):
+                return False
             y.ref = x
             trail.append(y)
             continue

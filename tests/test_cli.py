@@ -222,6 +222,36 @@ def test_bench_budget_error_exit_code(capsys):
     assert "error: step budget" in capsys.readouterr().out
 
 
+# --- cyclic bindings: the occurs check keeps them out ------------------
+
+CYCLIC = [
+    ("p(X, f(X)).\n", "p(Y,Y)."),
+    (":- table q/2.\nq(X, f(X)).\n", "q(Y,Y)."),
+]
+
+
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("flags", [[], ["--dre"], ["--dra", "--drs"], ["--dre", "--dra", "--drs"]])
+@pytest.mark.parametrize("text,query", CYCLIC, ids=["fact", "tabled"])
+def test_run_cyclic_binding_has_no_answers(tmp_path, text, query, flags):
+    # without an occurs check, unifying the query with the clause head binds
+    # a variable to a term containing it, and copying or tabling that term
+    # never ends; the 1 GiB cap makes such a run fail fast
+    p = tmp_path / "cyclic.pl"
+    p.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lintab.cli", "run", "--program", str(p), "--query", query, *flags],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "answers=0" in proc.stdout
+    assert not [line for line in proc.stdout.splitlines() if " = " in line]
+
+
 # --- property: any program bytes end in an exit status -------------------
 
 PATH_PROGRAM = (b":- table path/2.\npath(X,Z) :- path(X,Y), edge(Y,Z).\n"

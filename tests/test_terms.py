@@ -105,6 +105,22 @@ def test_unify_shared_var_conflict():
     assert not unify(s("f", x, x), s("f", 1, 2), tr)
 
 
+def test_unify_occurs_check():
+    # the results are kept as booleans: a failed assert would render a
+    # cyclic term forever
+    x, y = Var(), Var()
+    tr = Trail()
+    bound = unify(x, s("f", x), tr)
+    tr.undo_to(0)
+    assert not bound
+    bound = unify(s("f", x, y), s("f", y, s("g", x)), tr)
+    tr.undo_to(0)
+    assert not bound
+    assert x.ref is None and y.ref is None
+    assert unify(s("f", x), s("f", s("g", y)), tr)
+    assert term_to_str(x) == term_to_str(s("g", y))
+
+
 def test_tokens_shape():
     x, y = Var(), Var()
     t = s("p", x, s("g", y, x), 5)
