@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -378,3 +379,32 @@ def test_a_raw_answer_outlives_its_engine(collector_off):
     del engine
     assert raw[0].parent.children is None  # the tries are unlinked
     assert [term_to_str(solution_term(a)) for a in raw] == want
+
+
+# -- nested answers share their prefixes -------------------------------------------
+
+NAT = ":- table nat/1.\nnat(0).\nnat(s(X)) :- nat(X).\n"
+
+
+def _peak_bytes_per_answer(budget):
+    """tracemalloc's peak over a run of ``nat(X).`` cut at ``budget`` steps,
+    per answer stored by then."""
+    program, query = parse_program(NAT), parse_query("nat(X).")
+    tracemalloc.start()
+    try:
+        engine = Engine(program, step_budget=budget)
+        with pytest.raises(StepBudgetExceeded):
+            engine.run_query(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / engine.stats.answers_emitted
+
+
+def test_nested_answers_keep_linear_memory():
+    # the n-th answer s^n(0) shares its first n-1 tokens with the answer
+    # before it, so a solution trie grows by one node per answer; tables
+    # keyed by whole argument terms would store each answer again, and the
+    # bytes per answer would grow with n
+    small, large = _peak_bytes_per_answer(1000), _peak_bytes_per_answer(2000)
+    assert large <= 1.3 * small, (small, large)
