@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -231,7 +232,6 @@ CYCLIC = [
 
 
 def _cap_address_space():
-    import resource
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
