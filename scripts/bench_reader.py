@@ -3,11 +3,13 @@
 
 For the pyramid-80, pyramid-200 and grid-40 programs of ``lintab.bench``
 (the tabled path/2 program plus its edge/2 facts) it prints the minimum
-over REPS runs of ``parse_program`` and of ``Engine(program)``.  Two more
+over REPS runs of ``parse_program`` and of ``Engine(program)``.  Four more
 cells vary pyramid-80: ``pyramid-80-atoms`` names its nodes by atoms
-(``n<id>``) instead of integers, and ``pyramid-80-slds`` puts its facts
-under the sld-instrumented path program, whose rules and 0-ary facts the
-reader's ground-fact fast path declines.  Last comes the minimum over
+(``n<id>``) instead of integers, ``pyramid-80-arity3`` writes each edge as
+``edge(a,b,1)``, ``pyramid-80-comments`` puts a ``%`` comment line before
+each fact, and ``pyramid-80-slds`` puts its facts under the
+sld-instrumented path program, whose rules and 0-ary facts the reader's
+ground-fact fast path declines.  Last comes the minimum over
 REPS runs of one in-process ``lintab run`` on pyramid-80 with the bound
 query ``path(2450,Z).`` (row 70, column 35, the row the cli-run
 workload of perfbench asks from).  The collector runs untimed before each
@@ -47,6 +49,10 @@ def programs():
         yield f"{shape}-{depth}", program_text(shape, depth)
     edges = gen_edges(GraphConfig("pyramid", 80))
     yield "pyramid-80-atoms", make_path_program() + "".join(f"edge(n{a},n{b}).\n" for a, b in edges)
+    yield "pyramid-80-arity3", make_path_program() + "".join(f"edge({a},{b},1).\n" for a, b in edges)
+    yield "pyramid-80-comments", make_path_program() + "".join(
+        f"% edge {k}\nedge({a},{b}).\n" for k, (a, b) in enumerate(edges)
+    )
     yield "pyramid-80-slds", make_path_program(with_slds=True) + edge_facts(edges)
 
 

@@ -35,7 +35,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
-from .reader import Program
+from .reader import Program, Rows
 from .tablespace import (
     COMPLETE,
     EVALUATING,
@@ -149,19 +149,19 @@ class _Pred:
             and not clauses[0].body
         ):
             self.kind = _P_FACT0
-        elif clauses and f.arity == 2 and all(
-            not c.body and _ground_atomic(c.head.args[0]) and _ground_atomic(c.head.args[1])
-            for c in clauses
-        ):
+        elif type(clauses) is Rows and f.arity == 2:
             self.kind = _P_FACTS2
-            self.facts = [(c.head.args[0], c.head.args[1]) for c in clauses]
+            self.facts = list(clauses.rows)
             self.index = {}  # first argument -> its (a0, a1) pairs
             for pair in self.facts:
                 self.index.setdefault(pair[0], []).append(pair)
         else:
             self.kind = _P_GENERAL
         if self.kind in (_P_TABLED, _P_GENERAL):
-            self.clauses = [(c.head, c.body) for c in clauses]
+            if type(clauses) is Rows:  # heads built straight from the rows
+                self.clauses = [(Struct(f, row) if row else f, ()) for row in clauses.rows]
+            else:
+                self.clauses = [(c.head, c.body) for c in clauses]
 
 
 def _ground_atomic(t) -> bool:

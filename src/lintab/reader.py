@@ -3,15 +3,15 @@
 Grammar: facts ``p(a,b).``, rules ``h :- b1, b2.``, table directives
 ``:- table p/2.``, ``%`` line comments.  Atoms are lowercase identifiers
 or quoted; variables start with an uppercase letter or ``_``; integers
-are unsigned digit runs.  No operators beyond ``:-`` and the body comma,
-no lists, no strings.
+are unsigned digit runs of at most 4,300 digits.  No operators beyond
+``:-`` and the body comma, no lists, no strings.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .terms import Functor, Struct, Var, functor, term_to_str
 
@@ -29,25 +29,102 @@ class Clause:
     body: tuple
 
 
+def _fact_clause(f: Functor, row: tuple) -> Clause:
+    return Clause(Struct(f, row) if row else f, ())
+
+
+class Rows(Sequence):
+    """The clauses of a predicate that are all ground facts, each argument
+    an integer or an atom, kept as their argument tuples (rows).  Indexing
+    and iteration build the ``Clause`` objects on demand."""
+
+    __slots__ = ("functor", "rows")
+
+    def __init__(self, f: Functor):
+        self.functor = f
+        self.rows: list[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> Clause:
+        return _fact_clause(self.functor, self.rows[i])
+
+    def __iter__(self):
+        f = self.functor
+        return (_fact_clause(f, row) for row in self.rows)
+
+
 @dataclass(eq=False)
 class Program:
-    predicates: dict[Functor, list[Clause]] = field(default_factory=dict)
+    """Predicates and their clauses in source order, and the tabled
+    predicates.  Build one with ``parse_program`` or ``add``: a predicate
+    whose clauses are all ground facts is then kept as ``Rows``, which the
+    engine indexes as they are.  A clause list put into ``predicates``
+    directly is resolved clause by clause."""
+
+    predicates: dict[Functor, list[Clause] | Rows] = field(default_factory=dict)
     tabled: set[Functor] = field(default_factory=set)
 
-    def clauses(self, f: Functor) -> list[Clause]:
+    def clauses(self, f: Functor) -> list[Clause] | Rows:
         return self.predicates.get(f, [])
+
+    def add(self, clause: Clause) -> None:
+        """Append ``clause`` to its predicate."""
+        head = clause.head
+        f, row = (head, ()) if type(head) is Functor else (head.functor, head.args)
+        if not clause.body and all(type(a) is int or type(a) is Functor for a in row):
+            self.row_appender(f)(row)
+            return
+        cs = self.predicates.get(f)
+        if cs is None or type(cs) is Rows:  # a rule or a non-ground fact: clauses from now on
+            cs = self.predicates[f] = list(cs or ())
+        cs.append(clause)
+
+    def row_appender(self, f: Functor):
+        """The function that appends a ground fact of ``f``, given its
+        argument tuple."""
+        cs = self.predicates.get(f)
+        if not cs:
+            cs = self.predicates[f] = Rows(f)
+        if type(cs) is Rows:
+            return cs.rows.append
+        return lambda row: cs.append(_fact_clause(f, row))
 
 
 _QUOTED = r"'(?:\\.|[^'\\])*'"
+# layout: white space and '%' comments.  A comment runs to the end of its
+# line: the lookahead keeps a pattern from ending it early and reading a
+# fact inside it.
+_LAYOUT = r"\s*(?:%[^\n]*(?![^\n])\s*)*"
+_MAX_DIGITS = 4300  # CPython's default limit on int() of a digit string
 
 # Layout and comments, then one token: punctuation, an integer, a name, the
 # neck, a quoted atom whose closing quote is optional (so the scan never
 # backtracks) or any other character; _valid rejects the last kind and an
 # unterminated quote.  The token is empty only at the end of the text.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:%[^\n]*\s*)*
-      ( [(),./] | \d+ | [A-Za-z_][A-Za-z0-9_]* | :- | """ + _QUOTED + r"""? | \S )?""",
+    _LAYOUT + r"""( [(),./] | \d+ | [A-Za-z_][A-Za-z0-9_]* | :- | """ + _QUOTED + r"""? | \S )?""",
     re.VERBOSE,
+)
+
+# One ground fact name(c1, ..., cn)., each ci an integer or an unquoted
+# atom, with the token rules' layout anywhere between its tokens: its name,
+# then its arguments either without layout (the common shape, split on ',')
+# or with it (read by the tokenizer).  A longer digit run does not match,
+# so the general parser reports it.
+_ARG = rf"(?:\d{{1,{_MAX_DIGITS}}}|[a-z][A-Za-z0-9_]*)"
+_FACT_RE = re.compile(
+    rf"{_LAYOUT}([a-z][A-Za-z0-9_]*){_LAYOUT}\("
+    rf"(?:({_ARG}(?:,{_ARG})*)|({_LAYOUT}{_ARG}(?:{_LAYOUT},{_LAYOUT}{_ARG})*{_LAYOUT}))"
+    rf"\){_LAYOUT}\."
+)
+
+# One clause up to its '.': the tokens of _TOKEN_RE, except the two kinds
+# _valid rejects and '.', then the '.' if one follows.  It stops early, with
+# no '.', only at a bad character or at the end of the text.
+_CLAUSE_RE = re.compile(
+    rf"(?:{_LAYOUT}(?:[(),/]|\d+|[A-Za-z_][A-Za-z0-9_]*|:-|{_QUOTED}))*{_LAYOUT}(\.)?"
 )
 
 
@@ -62,27 +139,52 @@ def _unquote(tok: str) -> str:
     return tok[1:-1].replace("\\'", "'").replace("\\\\", "\\")
 
 
-def _position(text: str, k: int) -> tuple[int, int]:
-    """Line and column of token ``k``: tokens carry no position, so the
-    text is scanned again up to the token, only when an error needs it."""
-    m = next(islice(_TOKEN_RE.finditer(text), k, None))
-    off = m.end() - len(m.group(1) or "")
-    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
+def _read_facts(prog: Program, text: str, pos: int) -> int:
+    """The ground facts that follow offset ``pos``, appended to ``prog`` as
+    rows; returns the offset past the last of them."""
+    name = arity = None
+    while (m := _FACT_RE.match(text, pos)) is not None:
+        f_name, tight, loose = m.groups()
+        args = tight.split(",") if tight else [a for a in _TOKEN_RE.findall(loose)[::2] if a]
+        row = tuple([int(a) if a.isdecimal() else functor(a, 0) for a in args])
+        if f_name != name or len(row) != arity:
+            name, arity = f_name, len(row)
+            append = prog.row_appender(functor(name, arity))
+        append(row)
+        pos = m.end()
+    return pos
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """The tokens of one clause, from offset ``start`` of ``text`` up to its
+    '.' or the end of the text, which the general parser reads."""
+
+    def __init__(self, text: str, start: int):
         self.text = text
-        self.toks = toks = _TOKEN_RE.findall(text)
+        self.start = start
+        m = _CLAUSE_RE.match(text, start)
+        self.end = m.end()
+        self.toks = _TOKEN_RE.findall(text, start, self.end)  # '' last: the end
         self.i = 0
-        # a bad character anywhere is reported before any syntax error
-        bad = [t for t in set(toks) if not _valid(t)]
-        if bad:
-            k = min(map(toks.index, bad))
-            self.fail(f"unexpected character {toks[k][0]!r}", k)
+        if m.group(1) is None and self.end < len(text):
+            self.fail("", 0)  # reports the bad character
 
     def fail(self, msg: str, k: int):
-        raise ParseError(msg, *_position(self.text, k))
+        """Raise ``msg`` at token ``k``, unless a bad character stands
+        anywhere from this clause on: that is reported first.  Tokens carry
+        no position, so the text is scanned again, only for an error."""
+        text = self.text
+        off = None
+        for j, m in enumerate(_TOKEN_RE.finditer(text, self.start)):
+            tok = m.group(1) or ""
+            if j == k:
+                off = m.end() - len(tok)
+            if not _valid(tok):
+                msg, off = f"unexpected character {tok[0]!r}", m.end() - len(tok)
+                break
+            if not tok:
+                break
+        raise ParseError(msg, text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
 
     def next(self) -> str:
         t = self.toks[self.i]
@@ -101,6 +203,12 @@ class _Parser:
             self.fail(f"expected {what}", self.i - 1)
         return t
 
+    def integer(self, k: int) -> int:
+        tok = self.toks[k]
+        if len(tok) > _MAX_DIGITS:
+            self.fail(f"integer of more than {_MAX_DIGITS} digits", k)
+        return int(tok)
+
     # one namespace of variables per clause / query
     def term(self, varmap: dict) -> object:
         toks = self.toks
@@ -113,7 +221,7 @@ class _Parser:
             i += 1
             c = tok[:1]
             if c.isdecimal():
-                t = int(tok)
+                t = self.integer(i - 1)
             elif c.isupper() or c == "_":
                 t = Var() if tok == "_" else varmap.get(tok)
                 if t is None:
@@ -163,42 +271,20 @@ def _goal_functor(t) -> Functor:
     return t if type(t) is Functor else t.functor
 
 
-def _ground_fact(toks: list, i: int):
-    """``name(c1, ..., cn).`` at token ``i``, each ``ci`` an integer or a plain atom, as
-    ``(name, args, index past the '.')``; else None, and the general parser reads from ``i``."""
-    if not toks[i][:1].islower() or toks[i + 1] != "(":
-        return None
-    args = []
-    j = i + 2
-    while True:
-        t = toks[j]
-        if t.isdecimal():
-            args.append(int(t))
-        elif t[:1].islower():
-            args.append(functor(t, 0))
-        else:
-            return None  # also at the end of the text, so t has a next token
-        j += 2
-        if toks[j - 1] != ",":
-            ok = toks[j - 1] == ")" and toks[j] == "."
-            return (toks[i], tuple(args), j + 1) if ok else None
-
-
 def parse_program(text: str) -> Program:
-    p = _Parser(text)
+    """Read a program.  At each clause start a whole ground fact is matched
+    first (``_read_facts``); any other clause is tokenized from there and
+    read by the general parser, which raises every ``ParseError``."""
     prog = Program()
     body_preds: list[Functor] = []
-    fact_f = None  # functor of the last fast-path fact; it and `facts` are reused while it repeats
-    while p.toks[p.i]:  # '' is the end of the text
-        fact = _ground_fact(p.toks, p.i)
-        if fact is not None:
-            name, args, p.i = fact
-            if fact_f is None or fact_f.name != name or fact_f.arity != len(args):
-                fact_f = functor(name, len(args))
-                facts = prog.predicates.setdefault(fact_f, [])
-            facts.append(Clause(Struct(fact_f, args), ()))
-            continue
-        if p.toks[p.i] == ":-":
+    pos = 0
+    while True:
+        pos = _read_facts(prog, text, pos)
+        p = _Parser(text, pos)
+        if not p.toks[0]:  # '' is the end of the text
+            break
+        pos = p.end
+        if p.toks[0] == ":-":
             p.next()
             kw = p.i
             name = p.name("a directive name")
@@ -206,11 +292,11 @@ def parse_program(text: str) -> Program:
                 p.fail(f"unsupported directive '{name}'", kw)
             name = p.name("a predicate name")
             p.expect("/", "'/'")
-            arity = p.next()
-            if not arity[:1].isdecimal():
+            if not p.next()[:1].isdecimal():
                 p.fail("expected an arity", p.i - 1)
+            arity = p.integer(p.i - 1)
             p.expect(".", "'.'")
-            prog.tabled.add(functor(name, int(arity)))
+            prog.tabled.add(functor(name, arity))
             continue
         varmap: dict = {}
         head = p.callable_term(varmap, "clause head")
@@ -222,8 +308,7 @@ def parse_program(text: str) -> Program:
             goals = ()
         else:
             p.fail("expected ':-' or '.'", p.i - 1)
-        f = _goal_functor(head)
-        prog.predicates.setdefault(f, []).append(Clause(head, goals))
+        prog.add(Clause(head, goals))
         for g in goals:
             body_preds.append(_goal_functor(g))
     for f in body_preds:
@@ -237,12 +322,12 @@ def parse_query(text: str, varmap: dict | None = None) -> list:
     """Parse a '.'-terminated goal conjunction.  Pass a dict as `varmap` to
     capture the query's variable names (name -> Var), e.g. for printing
     answers under their source names."""
-    p = _Parser(text)
+    p = _Parser(text, 0)
     if not p.toks[0]:
         p.fail("empty query", 0)
     goals = list(p.body(varmap if varmap is not None else {}))
     p.expect(".", "'.'")
-    if p.toks[p.i]:
+    if _TOKEN_RE.match(text, p.end).group(1):
         p.fail("trailing text after query", p.i)
     return goals
 

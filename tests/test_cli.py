@@ -118,6 +118,21 @@ def test_run_bad_query_is_parse_error(program_file, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+LONG = "9" * 4301  # one digit more than int() reads by default on Python 3.11+
+
+
+@pytest.mark.parametrize("program,query,col", [
+    (f"p({LONG}).\n", "p(X).", 3),
+    (f"p(X) :- q({LONG}, X).\nq(1, 2).\n", "p(X).", 11),
+    ("p(1).\n", f"p({LONG}).", 3),
+], ids=["fact", "rule", "query"])
+def test_run_long_integer_is_parse_error(tmp_path, capsys, program, query, col):
+    p = tmp_path / "long.pl"
+    p.write_text(program)
+    assert main(["run", "--program", str(p), "--query", query]) == 2
+    assert capsys.readouterr().err == f"error: line 1, col {col}: integer of more than 4300 digits\n"
+
+
 def nested_fact(tmp_path, depth):
     p = tmp_path / "deep.pl"
     p.write_text("p(" + "f(" * depth + "a" + ")" * depth + ").\n")

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lintab import reader
-from lintab.engine import Engine
-from lintab.reader import ParseError, parse_program, parse_query, program_to_text
+from lintab.engine import _P_FACTS2, _P_GENERAL, _P_TABLED, Engine
+from lintab.reader import Clause, ParseError, Program, Rows, parse_program, parse_query, program_to_text
 from lintab.terms import Functor, Struct, Var, functor, term_to_str, term_tokens
 
 PATH_PROG = (
@@ -75,6 +75,9 @@ def test_unexpected_character_position():
         assert (e.line, e.col) == (3, 3)
 
 
+LONG = "9" * 4301
+LONG_MSG = "integer of more than 4300 digits"
+
 # (reader, text, message, line, col) for malformed inputs
 ERROR_TABLE = [
     ("program", "p(a).\n\nq(#).", "unexpected character '#'", 3, 3),
@@ -116,10 +119,22 @@ ERROR_TABLE = [
     ("program", "e(1 2).", "expected ')'", 1, 5),
     ("program", "e(1,2", "expected ')'", 1, 6),
     ("program", "e(1,2).\ne(3,#).", "unexpected character '#'", 2, 5),
+    # a digit run longer than int() reads by default, in a fact, a rule, a
+    # directive and a query; a bad character still comes first
+    ("program", f"p({LONG}).", LONG_MSG, 1, 3),
+    ("program", f"p(1,{LONG}).", LONG_MSG, 1, 5),
+    ("program", f"p(X) :- q({LONG}, X).", LONG_MSG, 1, 11),
+    ("program", f":- table p/{LONG}.", LONG_MSG, 1, 12),
+    ("program", f"p({LONG}).\nq(#).", "unexpected character '#'", 2, 3),
+    ("query", f"p(X, {LONG}).", LONG_MSG, 1, 6),
 ]
 
 
-@pytest.mark.parametrize("reader,text,msg,line,col", ERROR_TABLE)
+def _short_id(value):
+    return f"<{len(value)} characters>" if isinstance(value, str) and len(value) > 80 else None
+
+
+@pytest.mark.parametrize("reader,text,msg,line,col", ERROR_TABLE, ids=_short_id)
 def test_error_table(reader, text, msg, line, col):
     parse = parse_program if reader == "program" else parse_query
     with pytest.raises(ParseError) as info:
@@ -137,6 +152,13 @@ def test_unicode_decimal_digit_is_an_integer():
     # \d takes any decimal digit; '²' is no decimal digit (see ERROR_TABLE)
     (c,) = parse_program("p(٣).").clauses(functor("p", 1))
     assert c.head.args == (3,)
+
+
+def test_integer_of_4300_digits_reads():
+    n = int("7" * 4300)
+    prog = parse_program(f"p({'7' * 4300}).\nq(X) :- p({'7' * 4300}), r(X).")
+    assert prog.clauses(functor("p", 1))[0].head.args == (n,)
+    assert prog.clauses(functor("q", 1))[0].body[0].args == (n,)
 
 
 def test_duplicate_table_directive_idempotent():
@@ -318,14 +340,25 @@ def test_prop_mutated_program_parses_or_raises(text, op, at, ch):
     ("Ee(1).", None),
     (":- table e/1.", None),
     ("", None),
-])
+    ("edge(a,b,1).", ("edge", (functor("a", 0), functor("b", 0), 1))),
+    ("% e(1,2).\n", None),
+    ("%e(1,2).\ne(3,x).", ("e", (3, functor("x", 0)))),
+    ("e(1 % one, two\n,x2 % e(9).\n).", ("e", (1, functor("x2", 0)))),
+    ("e(1)% c", None),
+    (f"e({'9' * 4300}).", ("e", (int("9" * 4300),))),
+    (f"e({'9' * 4301}).", None),
+], ids=_short_id)
 def test_ground_fact_shape(text, fact):
-    toks = reader._TOKEN_RE.findall(text)
-    got = reader._ground_fact(toks, 0)
+    prog = Program()
+    end = reader._read_facts(prog, text, 0)
     if fact is None:
-        assert got is None
+        assert (end, prog.predicates) == (0, {})
     else:
-        assert got == (*fact, len(toks) - 1)
+        name, args = fact
+        f = functor(name, len(args))
+        assert list(prog.predicates) == [f]
+        assert prog.predicates[f].rows == [args]
+        assert end == len(text)
 
 
 def _outcome(text):
@@ -338,13 +371,15 @@ def _outcome(text):
 
 def _general_outcome(text):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reader, "_ground_fact", lambda toks, i: None)
+        mp.setattr(reader, "_read_facts", lambda prog, text, pos: pos)
         return _outcome(text)
 
 
-_LAYOUT = st.sampled_from(["", "", " ", "\n", "\t", " % note\n", "\n% a line\n"])
+_LAYOUT = st.sampled_from(
+    ["", "", " ", "\n", "\t", " % note\n", "\n% a line\n", "% e(1,2).\n", " %)\n", "%p(a, 1).\n"]
+)
 _fact_arg = st.integers(0, 10**4).map(str) | st.sampled_from(
-    ["a", "b", "nil", "x1", "aB_2", "'a'", "'hello world'", "'q\\'d'"]
+    ["a", "b", "nil", "x1", "aB_2", "'a'", "'hello world'", "'q\\'d'", "٣", "007", "9" * 4301]
 )
 
 
@@ -354,7 +389,7 @@ def _fact_program_text(draw):
     kinds = st.sampled_from(["fact"] * 5 + ["rule", "table"])
     for kind in draw(st.lists(kinds, min_size=1, max_size=12)):
         if kind == "fact":
-            args = draw(st.lists(_fact_arg, max_size=3))
+            args = draw(st.lists(_fact_arg, max_size=4))
             toks = [draw(st.sampled_from(["e", "edge", "p"]))]
             if args:
                 seps = [","] * (len(args) - 1) + [")"]
@@ -363,7 +398,7 @@ def _fact_program_text(draw):
         elif kind == "rule":
             toks = [draw(_clause_text)]
         else:
-            toks = [":- table ", draw(st.sampled_from(["e/2", "edge/2", "p/1"])), "."]
+            toks = [":- table ", draw(st.sampled_from(["e/2", "edge/2", "edge/3", "p/1"])), "."]
         out += [t + draw(_LAYOUT) for t in toks]
     return "".join(out)
 
@@ -377,9 +412,126 @@ def test_prop_fast_path_matches_general_parser(text):
 def test_prop_fast_path_matches_general_parser_on_mutants(text, op, at, ch):
     text = _mutate(text, op, at, ch)
     assert _outcome(text) == _general_outcome(text)
-    toks = reader._TOKEN_RE.findall(text)
-    for i in range(len(toks)):  # the fast path raises at no token
-        reader._ground_fact(toks, i)
+    for m in reader._TOKEN_RE.finditer(text):  # the fast path raises at no token
+        reader._read_facts(Program(), text, m.end() - len(m.group(1) or ""))
+
+
+# --- rows: ground facts kept as argument tuples --------------------------
+
+ROWS_TEXT = (
+    ":- table t/2.\n"
+    "edge(1,2).\nedge(1,a).\nedge(b,3).\nedge('c d',1).\n"  # the quoted atom takes the general path
+    "t(1,2).\nt(2,3).\n"
+    "w(a,b,1).\nw(a,c,2).\n"
+    "go.\n"
+    "q :- go.\n"
+)
+
+
+def _clause_program(text):
+    """The program of ``text``'s clauses, each added as a ``Clause`` object."""
+    parsed = parse_program(text)
+    prog = Program(tabled=set(parsed.tabled))
+    for cs in parsed.predicates.values():
+        for c in cs:
+            prog.add(Clause(c.head, c.body))
+    return prog
+
+
+def _pred_view(engine):
+    return {
+        f: (p.kind, p.facts, p.index, None if p.clauses is None else [clause_sig(Clause(h, b)) for h, b in p.clauses])
+        for f, p in engine.preds.items()
+    }
+
+
+def test_rows_and_clauses_build_the_same_engine():
+    rows = parse_program(ROWS_TEXT)
+    edge = functor("edge", 2)
+    assert type(rows.predicates[edge]) is Rows
+    assert rows.predicates[edge].rows[:2] == [(1, 2), (1, functor("a", 0))]
+    hand = Program(tabled={functor("t", 2)})
+    for f, args in [(edge, (1, 2)), (edge, (1, functor("a", 0))), (edge, (functor("b", 0), 3)),
+                    (edge, (functor("c d", 0), 1)), (functor("t", 2), (1, 2)), (functor("t", 2), (2, 3)),
+                    (functor("w", 3), (functor("a", 0), functor("b", 0), 1)),
+                    (functor("w", 3), (functor("a", 0), functor("c", 0), 2))]:
+        hand.add(Clause(Struct(f, args), ()))
+    hand.add(Clause(functor("go", 0), ()))
+    hand.add(Clause(functor("q", 0), (functor("go", 0),)))
+    view = _pred_view(Engine(rows))
+    assert view == _pred_view(Engine(hand)) == _pred_view(Engine(_clause_program(ROWS_TEXT)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reader, "_read_facts", lambda prog, text, pos: pos)
+        assert _pred_view(Engine(parse_program(ROWS_TEXT))) == view
+    assert view[edge][:3] == (
+        _P_FACTS2, [(1, 2), (1, functor("a", 0)), (functor("b", 0), 3), (functor("c d", 0), 1)],
+        {1: [(1, 2), (1, functor("a", 0))], functor("b", 0): [(functor("b", 0), 3)],
+         functor("c d", 0): [(functor("c d", 0), 1)]},
+    )
+    assert view[functor("t", 2)][0] == _P_TABLED
+    assert view[functor("w", 3)][0] == _P_GENERAL
+    assert len(view[functor("t", 2)][3]) == 2
+
+
+def test_rows_are_a_clause_sequence_that_round_trips():
+    prog = parse_program(ROWS_TEXT)
+    counts = {repr(f): len(cs) for f, cs in prog.predicates.items()}
+    assert counts == {"t/2": 2, "edge/2": 4, "w/3": 2, "go/0": 1, "q/0": 1}
+    w = prog.predicates[functor("w", 3)]
+    assert type(w) is Rows
+    assert [term_to_str(c.head) for c in w] == ["w(a,b,1)", "w(a,c,2)"]
+    assert term_to_str(w[-1].head) == "w(a,c,2)" and w[1].body == ()
+    assert prog.clauses(functor("go", 0))[0].head is functor("go", 0)
+    again = parse_program(program_to_text(prog))
+    assert program_sig(again) == program_sig(prog)
+    assert {f: type(cs) for f, cs in again.predicates.items()} == {f: type(cs) for f, cs in prog.predicates.items()}
+
+
+def test_a_rule_turns_rows_into_clauses():
+    text = "e(1,2).\ne(2,3).\ne(X,Y) :- f(Y,X).\ne(3,4).\nf(2,3).\n"
+    prog = parse_program(text)
+    cs = prog.predicates[functor("e", 2)]
+    assert type(cs) is list and len(cs) == 4
+    assert [term_to_str(c.head) for c in cs] == ["e(1,2)", "e(2,3)", "e(X,Y)", "e(3,4)"]
+    assert _outcome(text) == _general_outcome(text)
+    engine = Engine(prog)
+    assert engine.preds[functor("e", 2)].kind == _P_GENERAL
+    raw, _ = engine.run_query(parse_query("e(3,Y)."))
+    assert [term_to_str(a) for a in engine.answers(raw)] == ["e(3,2)", "e(3,4)"]
+    assert type(prog.predicates[functor("f", 2)]) is Rows
+    nonground = parse_program("p(1).\np(X).\np(2).\n").predicates[functor("p", 1)]
+    assert type(nonground) is list and len(nonground) == 3
+
+
+def test_reader_scans_each_character_once(monkeypatch):
+    # 2,000 clauses, facts and rules in turn: every rule goes to the
+    # general parser, which tokenizes only up to its own '.'
+    text = "".join(f"e({i},{i + 1}).\np({i}) :- e({i},X), q(X).\n" for i in range(1000))
+    real = reader._TOKEN_RE
+    scanned = []  # (start, end) of every stretch the tokenizer read
+
+    class Spy:
+        def finditer(self, text, pos=0):
+            for m in real.finditer(text, pos):
+                scanned.append(m.span())
+                yield m
+
+        def findall(self, text, pos=0, endpos=None):
+            scanned.append((pos, len(text) if endpos is None else endpos))
+            return real.findall(text, pos, len(text) if endpos is None else endpos)
+
+        def match(self, text, pos=0):
+            m = real.match(text, pos)
+            scanned.append(m.span())
+            return m
+
+    monkeypatch.setattr(reader, "_TOKEN_RE", Spy())
+    prog = parse_program(text)
+    assert len(prog.predicates[functor("p", 1)]) == 1000
+    assert len(prog.predicates[functor("e", 2)]) == 1000
+    scanned.sort()
+    assert all(end <= start for (_, end), (start, _) in zip(scanned, scanned[1:]))
+    assert len(scanned) > 1000
 
 
 # --- property: deeply nested terms through reader, engine and printer --
