@@ -9,7 +9,10 @@ cells vary pyramid-80: ``pyramid-80-atoms`` names its nodes by atoms
 ``edge(a,b,1)``, ``pyramid-80-comments`` puts a ``%`` comment line before
 each fact, and ``pyramid-80-slds`` puts its facts under the
 sld-instrumented path program, whose rules and 0-ary facts the reader's
-ground-fact fast path declines.  Last comes the minimum over
+ground-fact fast path declines.  Two cells hold only clauses the fast
+path declines, so the general parser reads every clause: ``rules-6000`` holds
+6,000 rules ``p(X) :- e(X,k), q(X).``, ``quoted-6000`` 6,000 facts
+``q('a b',k).`` with a quoted atom.  Last comes the minimum over
 REPS runs of one in-process ``lintab run`` on pyramid-80 with the bound
 query ``path(2450,Z).`` (row 70, column 35, the row the cli-run
 workload of perfbench asks from).  The collector runs untimed before each
@@ -54,6 +57,8 @@ def programs():
         f"% edge {k}\nedge({a},{b}).\n" for k, (a, b) in enumerate(edges)
     )
     yield "pyramid-80-slds", make_path_program(with_slds=True) + edge_facts(edges)
+    yield "rules-6000", "".join(f"p(X) :- e(X,{k}), q(X).\n" for k in range(6000))
+    yield "quoted-6000", "".join(f"q('a b',{k}).\n" for k in range(6000))
 
 
 def min_time(fn) -> float:

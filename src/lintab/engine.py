@@ -158,10 +158,7 @@ class _Pred:
         else:
             self.kind = _P_GENERAL
         if self.kind in (_P_TABLED, _P_GENERAL):
-            if type(clauses) is Rows:  # heads built straight from the rows
-                self.clauses = [(Struct(f, row) if row else f, ()) for row in clauses.rows]
-            else:
-                self.clauses = [(c.head, c.body) for c in clauses]
+            self.clauses = [(c.head, c.body) for c in clauses]
 
 
 def _ground_atomic(t) -> bool:

@@ -3,13 +3,15 @@
 Grammar: facts ``p(a,b).``, rules ``h :- b1, b2.``, table directives
 ``:- table p/2.``, ``%`` line comments.  Atoms are lowercase identifiers
 or quoted; variables start with an uppercase letter or ``_``; integers
-are unsigned digit runs of at most 4,300 digits.  No operators beyond
+are unsigned digit runs of at most 4,300 digits, or of the interpreter's
+limit on ``int()`` if that is lower.  No operators beyond
 ``:-`` and the body comma, no lists, no strings.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -61,7 +63,7 @@ class Program:
     predicates.  Build one with ``parse_program`` or ``add``: a predicate
     whose clauses are all ground facts is then kept as ``Rows``, which the
     engine indexes as they are.  A clause list put into ``predicates``
-    directly is resolved clause by clause."""
+    directly stays one, and is resolved clause by clause."""
 
     predicates: dict[Functor, list[Clause] | Rows] = field(default_factory=dict)
     tabled: set[Functor] = field(default_factory=set)
@@ -69,70 +71,89 @@ class Program:
     def clauses(self, f: Functor) -> list[Clause] | Rows:
         return self.predicates.get(f, [])
 
-    def add(self, clause: Clause) -> None:
-        """Append ``clause`` to its predicate."""
-        head = clause.head
-        f, row = (head, ()) if type(head) is Functor else (head.functor, head.args)
-        if not clause.body and all(type(a) is int or type(a) is Functor for a in row):
-            self.row_appender(f)(row)
-            return
+    def add(self, head, body: tuple = ()) -> None:
+        """Append the clause ``head :- body`` to its predicate."""
+        if type(head) is Functor:
+            f, row = head, ()
+        else:
+            f, row = head.functor, head.args
         cs = self.predicates.get(f)
-        if cs is None or type(cs) is Rows:  # a rule or a non-ground fact: clauses from now on
-            cs = self.predicates[f] = list(cs or ())
-        cs.append(clause)
+        if type(cs) is not list:  # no clauses yet, or Rows
+            if not body:
+                for a in row:
+                    if type(a) is not int and type(a) is not Functor:
+                        break
+                else:  # a ground fact, each argument an integer or an atom
+                    if cs is None:
+                        cs = self.predicates[f] = Rows(f)
+                    cs.rows.append(row)
+                    return
+            cs = self.predicates[f] = list(cs or ())  # a rule or a non-ground fact: clauses from now on
+        cs.append(Clause(head, body))
 
     def row_appender(self, f: Functor):
         """The function that appends a ground fact of ``f``, given its
         argument tuple."""
         cs = self.predicates.get(f)
-        if not cs:
+        if cs is None:
             cs = self.predicates[f] = Rows(f)
         if type(cs) is Rows:
             return cs.rows.append
         return lambda row: cs.append(_fact_clause(f, row))
 
 
-_QUOTED = r"'(?:\\.|[^'\\])*'"
+# The token rules; every pattern below is built from them.  A quoted
+# atom's escapes are read whole, so an escaped quote does not end it.
+_WORD_CHARS = "A-Za-z0-9_"
+_PUNCT_CHARS = "(),/"
+_PUNCT = rf"[{_PUNCT_CHARS}]|:-"  # every punctuation token but '.'
+_INT = r"\d+"
+_NAME = rf"[A-Za-z_][{_WORD_CHARS}]*"  # an atom or a variable
+_ATOM = rf"[a-z][{_WORD_CHARS}]*"  # an unquoted atom
+_QUOTED_OPEN = r"'(?:\\.|[^'\\])*"  # a quoted atom up to its closing quote
+_QUOTED = _QUOTED_OPEN + "'"
+_VALID = rf"{_PUNCT}|{_INT}|{_NAME}|{_QUOTED}"  # every valid token but '.'
 # layout: white space and '%' comments.  A comment runs to the end of its
 # line: the lookahead keeps a pattern from ending it early and reading a
 # fact inside it.
-_LAYOUT = r"\s*(?:%[^\n]*(?![^\n])\s*)*"
+_COMMENT = r"%[^\n]*(?![^\n])"
+_LAYOUT = rf"\s*(?:{_COMMENT}\s*)*"
 _MAX_DIGITS = 4300  # CPython's default limit on int() of a digit string
+_SAFE_DIGITS = 640  # the interpreter's limit cannot be set lower
 
-# Layout and comments, then one token: punctuation, an integer, a name, the
-# neck, a quoted atom whose closing quote is optional (so the scan never
-# backtracks) or any other character; _valid rejects the last kind and an
-# unterminated quote.  The token is empty only at the end of the text.
-_TOKEN_RE = re.compile(
-    _LAYOUT + r"""( [(),./] | \d+ | [A-Za-z_][A-Za-z0-9_]* | :- | """ + _QUOTED + r"""? | \S )?""",
-    re.VERBOSE,
-)
+# Layout and comments, then one token: a valid token, '.', a quoted atom
+# whose closing quote is missing (so the scan never backtracks) or any other
+# character; _valid rejects the last two kinds.  The token is empty only at
+# the end of the text.
+_TOKEN_RE = re.compile(rf"{_LAYOUT}({_PUNCT}|\.|{_INT}|{_NAME}|{_QUOTED_OPEN}'?|\S)?")
+_VALID_RE = re.compile(rf"{_VALID}|\.")
 
 # One ground fact name(c1, ..., cn)., each ci an integer or an unquoted
-# atom, with the token rules' layout anywhere between its tokens: its name,
-# then its arguments either without layout (the common shape, split on ',')
-# or with it (read by the tokenizer).  A longer digit run does not match,
-# so the general parser reports it.
-_ARG = rf"(?:\d{{1,{_MAX_DIGITS}}}|[a-z][A-Za-z0-9_]*)"
-_FACT_RE = re.compile(
-    rf"{_LAYOUT}([a-z][A-Za-z0-9_]*){_LAYOUT}\("
+# atom, with layout anywhere between its tokens: its name, then its
+# arguments either without layout (the common shape, split on ',') or with
+# it (read by the tokenizer).  A longer digit run does not match, so the
+# general parser reports it.
+_ARG = rf"(?:\d{{1,{_MAX_DIGITS}}}|{_ATOM})"
+_FACT = (
+    rf"{_LAYOUT}({_ATOM}){_LAYOUT}\("
     rf"(?:({_ARG}(?:,{_ARG})*)|({_LAYOUT}{_ARG}(?:{_LAYOUT},{_LAYOUT}{_ARG})*{_LAYOUT}))"
     rf"\){_LAYOUT}\."
 )
+_FACT_RE = re.compile(_FACT)
 
-# One clause up to its '.': the tokens of _TOKEN_RE, except the two kinds
-# _valid rejects and '.', then the '.' if one follows.  It stops early, with
-# no '.', only at a bad character or at the end of the text.
-_CLAUSE_RE = re.compile(
-    rf"(?:{_LAYOUT}(?:[(),/]|\d+|[A-Za-z_][A-Za-z0-9_]*|:-|{_QUOTED}))*{_LAYOUT}(\.)?"
-)
+# A run of clauses that _FACT_RE does not read, each up to its '.': text
+# that splits into layout and valid tokens but '.', and after each '.'
+# either a fact, which ends the run (group 1 is then set), or the next
+# clause.  The run also ends at the end of the text, and early at a token
+# _valid rejects.  Names, ASCII digits, punctuation and white space are
+# matched a stretch at a time, not token by token: that is what makes a run
+# cheap.
+_TOKENS = rf"(?:[{_WORD_CHARS}{_PUNCT_CHARS}\s]+|{_INT}|:-|{_QUOTED}|{_COMMENT})*"
+_RUN_RE = re.compile(rf"{_TOKENS}(?:\.(?:((?={_FACT}))|{_TOKENS}))*")
 
 
 def _valid(tok: str) -> bool:
-    if tok[:1] == "'":
-        return re.fullmatch(_QUOTED, tok) is not None
-    # every token of two or more characters matched a rule; so did '' (the end)
-    return len(tok) != 1 or tok.isdecimal() or tok.isascii() and (tok.isalpha() or tok in "(),./_")
+    return not tok or _VALID_RE.fullmatch(tok) is not None
 
 
 def _unquote(tok: str) -> str:
@@ -146,7 +167,10 @@ def _read_facts(prog: Program, text: str, pos: int) -> int:
     while (m := _FACT_RE.match(text, pos)) is not None:
         f_name, tight, loose = m.groups()
         args = tight.split(",") if tight else [a for a in _TOKEN_RE.findall(loose)[::2] if a]
-        row = tuple([int(a) if a.isdecimal() else functor(a, 0) for a in args])
+        try:
+            row = tuple([int(a) if a.isdecimal() else functor(a, 0) for a in args])
+        except ValueError:  # the interpreter's digit limit is lower: the parser reports it
+            break
         if f_name != name or len(row) != arity:
             name, arity = f_name, len(row)
             append = prog.row_appender(functor(name, arity))
@@ -156,22 +180,23 @@ def _read_facts(prog: Program, text: str, pos: int) -> int:
 
 
 class _Parser:
-    """The tokens of one clause, from offset ``start`` of ``text`` up to its
-    '.' or the end of the text, which the general parser reads."""
+    """The tokens of a run of clauses that ``_read_facts`` does not read,
+    from offset ``start`` of ``text`` up to a fact or the end of the text,
+    which the general parser reads."""
 
     def __init__(self, text: str, start: int):
         self.text = text
         self.start = start
-        m = _CLAUSE_RE.match(text, start)
+        m = _RUN_RE.match(text, start)
         self.end = m.end()
-        self.toks = _TOKEN_RE.findall(text, start, self.end)  # '' last: the end
+        self.toks = _TOKEN_RE.findall(text, start, self.end)  # '' last: the end of the run
         self.i = 0
         if m.group(1) is None and self.end < len(text):
             self.fail("", 0)  # reports the bad character
 
     def fail(self, msg: str, k: int):
         """Raise ``msg`` at token ``k``, unless a bad character stands
-        anywhere from this clause on: that is reported first.  Tokens carry
+        anywhere from this run on: that is reported first.  Tokens carry
         no position, so the text is scanned again, only for an error."""
         text = self.text
         off = None
@@ -205,9 +230,13 @@ class _Parser:
 
     def integer(self, k: int) -> int:
         tok = self.toks[k]
-        if len(tok) > _MAX_DIGITS:
-            self.fail(f"integer of more than {_MAX_DIGITS} digits", k)
-        return int(tok)
+        if len(tok) <= _MAX_DIGITS:
+            try:
+                return int(tok)
+            except ValueError:  # the interpreter's own limit is lower
+                pass
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _MAX_DIGITS
+        self.fail(f"integer of more than {min(limit, _MAX_DIGITS)} digits", k)
 
     # one namespace of variables per clause / query
     def term(self, varmap: dict) -> object:
@@ -221,7 +250,7 @@ class _Parser:
             i += 1
             c = tok[:1]
             if c.isdecimal():
-                t = self.integer(i - 1)
+                t = int(tok) if len(tok) <= _SAFE_DIGITS else self.integer(i - 1)
             elif c.isupper() or c == "_":
                 t = Var() if tok == "_" else varmap.get(tok)
                 if t is None:
@@ -273,8 +302,9 @@ def _goal_functor(t) -> Functor:
 
 def parse_program(text: str) -> Program:
     """Read a program.  At each clause start a whole ground fact is matched
-    first (``_read_facts``); any other clause is tokenized from there and
-    read by the general parser, which raises every ``ParseError``."""
+    first (``_read_facts``); a run of other clauses, up to the next such
+    fact, is tokenized from there and read by the general parser, which
+    raises every ``ParseError``."""
     prog = Program()
     body_preds: list[Functor] = []
     pos = 0
@@ -284,33 +314,34 @@ def parse_program(text: str) -> Program:
         if not p.toks[0]:  # '' is the end of the text
             break
         pos = p.end
-        if p.toks[0] == ":-":
-            p.next()
-            kw = p.i
-            name = p.name("a directive name")
-            if name != "table":
-                p.fail(f"unsupported directive '{name}'", kw)
-            name = p.name("a predicate name")
-            p.expect("/", "'/'")
-            if not p.next()[:1].isdecimal():
-                p.fail("expected an arity", p.i - 1)
-            arity = p.integer(p.i - 1)
-            p.expect(".", "'.'")
-            prog.tabled.add(functor(name, arity))
-            continue
-        varmap: dict = {}
-        head = p.callable_term(varmap, "clause head")
-        tok = p.next()
-        if tok == ":-":
-            goals = p.body(varmap)
-            p.expect(".", "'.'")
-        elif tok == ".":
-            goals = ()
-        else:
-            p.fail("expected ':-' or '.'", p.i - 1)
-        prog.add(Clause(head, goals))
-        for g in goals:
-            body_preds.append(_goal_functor(g))
+        while p.toks[p.i]:  # '' is the end of the run
+            if p.toks[p.i] == ":-":
+                p.next()
+                kw = p.i
+                name = p.name("a directive name")
+                if name != "table":
+                    p.fail(f"unsupported directive '{name}'", kw)
+                name = p.name("a predicate name")
+                p.expect("/", "'/'")
+                if not p.next()[:1].isdecimal():
+                    p.fail("expected an arity", p.i - 1)
+                arity = p.integer(p.i - 1)
+                p.expect(".", "'.'")
+                prog.tabled.add(functor(name, arity))
+                continue
+            varmap: dict = {}
+            head = p.callable_term(varmap, "clause head")
+            tok = p.next()
+            if tok == ":-":
+                goals = p.body(varmap)
+                p.expect(".", "'.'")
+            elif tok == ".":
+                goals = ()
+            else:
+                p.fail("expected ':-' or '.'", p.i - 1)
+            prog.add(head, goals)
+            for g in goals:
+                body_preds.append(_goal_functor(g))
     for f in body_preds:
         prog.predicates.setdefault(f, [])
     for f in prog.tabled:
@@ -327,7 +358,7 @@ def parse_query(text: str, varmap: dict | None = None) -> list:
         p.fail("empty query", 0)
     goals = list(p.body(varmap if varmap is not None else {}))
     p.expect(".", "'.'")
-    if _TOKEN_RE.match(text, p.end).group(1):
+    if p.toks[p.i] or _TOKEN_RE.match(text, p.end).group(1):
         p.fail("trailing text after query", p.i)
     return goals
 

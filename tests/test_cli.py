@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -131,6 +132,23 @@ def test_run_long_integer_is_parse_error(tmp_path, capsys, program, query, col):
     p.write_text(program)
     assert main(["run", "--program", str(p), "--query", query]) == 2
     assert capsys.readouterr().err == f"error: line 1, col {col}: integer of more than 4300 digits\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int() of a digit string")
+@pytest.mark.parametrize("program,query,col", [
+    (f"p({'7' * 700}).\n", "p(X).", 3),
+    (f"p(X) :- q({'7' * 700}, X).\nq(1, 2).\n", "p(X).", 11),
+    ("p(1).\n", f"p({'7' * 700}).", 3),
+], ids=["fact", "rule", "query"])
+def test_run_integer_over_a_lowered_limit_is_parse_error(tmp_path, program, query, col):
+    # 640 is the lowest limit the interpreter accepts
+    p = tmp_path / "long.pl"
+    p.write_text(program)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lintab.cli", "run", "--program", str(p), "--query", query],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"},
+    )
+    assert (proc.returncode, proc.stderr) == (2, f"error: line 1, col {col}: integer of more than 640 digits\n")
 
 
 def nested_fact(tmp_path, depth):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -159,6 +161,24 @@ def test_integer_of_4300_digits_reads():
     prog = parse_program(f"p({'7' * 4300}).\nq(X) :- p({'7' * 4300}), r(X).")
     assert prog.clauses(functor("p", 1))[0].head.args == (n,)
     assert prog.clauses(functor("q", 1))[0].body[0].args == (n,)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int() of a digit string")
+def test_integer_over_a_lowered_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_program(f"p({'7' * 640}).").clauses(functor("p", 1))[0].head.args == (int("7" * 640),)
+        long = "7" * 641
+        for text, col in [(f"p({long}).", 3), (f"p(1).\np(a, {long}).", 6), (f"q(X) :- p({long}).", 11),
+                          (f":- table p/{long}.", 12)]:
+            with pytest.raises(ParseError) as e:
+                parse_program(text)
+            assert (str(e.value).split(": ", 1)[1], e.value.col) == ("integer of more than 640 digits", col)
+        with pytest.raises(ParseError, match="integer of more than 640 digits"):
+            parse_query(f"p({long}).")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_duplicate_table_directive_idempotent():
@@ -416,6 +436,31 @@ def test_prop_fast_path_matches_general_parser_on_mutants(text, op, at, ch):
         reader._read_facts(Program(), text, m.end() - len(m.group(1) or ""))
 
 
+def _run_end(text, start):
+    """Where a run of general clauses from ``start`` ends, read token by
+    token: the offset, and whether a fact follows there."""
+    for m in reader._TOKEN_RE.finditer(text, start):
+        tok = m.group(1) or ""
+        if not tok:
+            return len(text), False
+        if not reader._valid(tok):
+            return m.end() - len(tok), False
+        if tok == "." and reader._FACT_RE.match(text, m.end()):
+            return m.end(), True
+
+
+@given(_fact_program_text(), _MUTATION, st.integers(0, 10**6), _MUTANT_CHARS, st.integers(0, 10**6))
+def test_prop_run_ends_where_the_tokenizer_says(text, op, at, ch, k):
+    # _RUN_RE reads names, digits, punctuation and layout a stretch at a
+    # time; it must stop exactly where the tokens say: at a fact after a
+    # '.', at a token _valid rejects, or at the end of the text
+    text = _mutate(text, op, at, ch)
+    starts = [m.start() for m in reader._TOKEN_RE.finditer(text)]
+    start = starts[k % len(starts)]
+    m = reader._RUN_RE.match(text, start)
+    assert (m.end(), m.group(1) is not None) == _run_end(text, start)
+
+
 # --- rows: ground facts kept as argument tuples --------------------------
 
 ROWS_TEXT = (
@@ -429,12 +474,12 @@ ROWS_TEXT = (
 
 
 def _clause_program(text):
-    """The program of ``text``'s clauses, each added as a ``Clause`` object."""
+    """The program of ``text``'s clauses, each added by ``Program.add``."""
     parsed = parse_program(text)
     prog = Program(tabled=set(parsed.tabled))
     for cs in parsed.predicates.values():
         for c in cs:
-            prog.add(Clause(c.head, c.body))
+            prog.add(c.head, c.body)
     return prog
 
 
@@ -455,9 +500,9 @@ def test_rows_and_clauses_build_the_same_engine():
                     (edge, (functor("c d", 0), 1)), (functor("t", 2), (1, 2)), (functor("t", 2), (2, 3)),
                     (functor("w", 3), (functor("a", 0), functor("b", 0), 1)),
                     (functor("w", 3), (functor("a", 0), functor("c", 0), 2))]:
-        hand.add(Clause(Struct(f, args), ()))
-    hand.add(Clause(functor("go", 0), ()))
-    hand.add(Clause(functor("q", 0), (functor("go", 0),)))
+        hand.add(Struct(f, args))
+    hand.add(functor("go", 0))
+    hand.add(functor("q", 0), (functor("go", 0),))
     view = _pred_view(Engine(rows))
     assert view == _pred_view(Engine(hand)) == _pred_view(Engine(_clause_program(ROWS_TEXT)))
     with pytest.MonkeyPatch.context() as mp:
@@ -532,6 +577,26 @@ def test_reader_scans_each_character_once(monkeypatch):
     scanned.sort()
     assert all(end <= start for (_, end), (start, _) in zip(scanned, scanned[1:]))
     assert len(scanned) > 1000
+
+
+def test_a_run_of_clauses_is_tokenized_once(monkeypatch):
+    # a fact, then three clauses the fact pattern declines, 100 times: one
+    # findall per run of three, and one at the end of the text
+    block = "e({i},{j}).\np({i}) :- e({i},X), q(X).\nq('{i}').\n:- table q/1.\n"
+    text = "".join(block.format(i=i, j=i + 1) for i in range(100))
+    real = reader._TOKEN_RE
+    runs = []
+
+    class Spy:
+        def findall(self, text, pos, endpos):
+            toks = real.findall(text, pos, endpos)
+            runs.append(toks.count("."))
+            return toks
+
+    monkeypatch.setattr(reader, "_TOKEN_RE", Spy())
+    prog = parse_program(text)
+    assert runs == [3] * 100 + [0]
+    assert type(prog.predicates[functor("q", 1)]) is Rows and len(prog.predicates[functor("q", 1)]) == 100
 
 
 # --- property: deeply nested terms through reader, engine and printer --
