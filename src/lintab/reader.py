@@ -131,7 +131,7 @@ _VALID_RE = re.compile(rf"{_VALID}|\.")
 # One ground fact name(c1, ..., cn)., each ci an integer or an unquoted
 # atom, with layout anywhere between its tokens: its name, then its
 # arguments either without layout (the common shape, split on ',') or with
-# it (read by the tokenizer).  A longer digit run does not match, so the
+# it (split by _LOOSE_ARG_RE).  A longer digit run does not match, so the
 # general parser reports it.
 _ARG = rf"(?:\d{{1,{_MAX_DIGITS}}}|{_ATOM})"
 _FACT = (
@@ -140,6 +140,7 @@ _FACT = (
     rf"\){_LAYOUT}\."
 )
 _FACT_RE = re.compile(_FACT)
+_LOOSE_ARG_RE = re.compile(rf"{_LAYOUT}({_ARG}){_LAYOUT},?")
 
 # A run of clauses that _FACT_RE does not read, each up to its '.': text
 # that splits into layout and valid tokens but '.', and after each '.'
@@ -166,7 +167,7 @@ def _read_facts(prog: Program, text: str, pos: int) -> int:
     name = arity = None
     while (m := _FACT_RE.match(text, pos)) is not None:
         f_name, tight, loose = m.groups()
-        args = tight.split(",") if tight else [a for a in _TOKEN_RE.findall(loose)[::2] if a]
+        args = tight.split(",") if tight else _LOOSE_ARG_RE.findall(loose)
         try:
             row = tuple([int(a) if a.isdecimal() else functor(a, 0) for a in args])
         except ValueError:  # the interpreter's digit limit is lower: the parser reports it
