@@ -119,7 +119,7 @@ _VALID = rf"{_PUNCT}|{_INT}|{_NAME}|{_QUOTED}"  # every valid token but '.'
 _COMMENT = r"%[^\n]*(?![^\n])"
 _LAYOUT = rf"\s*(?:{_COMMENT}\s*)*"
 _MAX_DIGITS = 4300  # CPython's default limit on int() of a digit string
-_SAFE_DIGITS = 640  # the interpreter's limit cannot be set lower
+_SAFE_DIGITS = 640  # always reads: no interpreter limit on int() is lower
 
 # Layout and comments, then one token: a valid token, '.', a quoted atom
 # whose closing quote is missing (so the scan never backtracks) or any other
