@@ -3,16 +3,21 @@
 
 For the pyramid-80, pyramid-200 and grid-40 programs of ``lintab.bench``
 (the tabled path/2 program plus its edge/2 facts) it prints the minimum
-over REPS runs of ``parse_program`` and of ``Engine(program)``.  Four more
+over REPS runs of ``parse_program`` and of ``Engine(program)``, and the
+``tracemalloc`` peak of one parse (``parse_peak_kb``).  Four more
 cells vary pyramid-80: ``pyramid-80-atoms`` names its nodes by atoms
 (``n<id>``) instead of integers, ``pyramid-80-arity3`` writes each edge as
 ``edge(a,b,1)``, ``pyramid-80-comments`` puts a ``%`` comment line before
 each fact, and ``pyramid-80-slds`` puts its facts under the
-sld-instrumented path program, whose rules and 0-ary facts the reader's
-ground-fact fast path declines.  Two cells hold only clauses the fast
-path declines, so the general parser reads every clause: ``rules-6000`` holds
-6,000 rules ``p(X) :- e(X,k), q(X).``, ``quoted-6000`` 6,000 facts
-``q('a b',k).`` with a quoted atom.  Last comes the minimum over
+sld-instrumented path program, whose rules and 0-ary facts the general
+parser reads.  ``loose-6320`` writes pyramid-80's 6,320 facts with a space
+after the comma, ``edge(a, b).``, a shape the tokenizer does not carry as a
+row, so the general parser reads them too.  Two cells hold no fact the
+tokenizer carries, so the general parser reads every clause: ``rules-6000``
+holds 6,000 rules ``p(X) :- e(X,k), q(X).``, ``quoted-6000`` 6,000 facts
+``q('a b',k).`` with a quoted atom.  ``mixed-6000`` alternates 3,000 facts
+``e(i,j).`` with 3,000 rules ``p(i) :- e(i,X), q(X).``, so every '.' token
+carries a single fact.  Last comes the minimum over
 REPS runs of one in-process ``lintab run`` on pyramid-80 with the bound
 query ``path(2450,Z).`` (row 70, column 35, the row the cli-run
 workload of perfbench asks from).  The collector runs untimed before each
@@ -31,6 +36,7 @@ import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 
 from lintab import cli
 from lintab.bench import GraphConfig, edge_facts, gen_edges, make_path_program
@@ -57,8 +63,10 @@ def programs():
         f"% edge {k}\nedge({a},{b}).\n" for k, (a, b) in enumerate(edges)
     )
     yield "pyramid-80-slds", make_path_program(with_slds=True) + edge_facts(edges)
+    yield "loose-6320", make_path_program() + "".join(f"edge({a}, {b}).\n" for a, b in edges)
     yield "rules-6000", "".join(f"p(X) :- e(X,{k}), q(X).\n" for k in range(6000))
     yield "quoted-6000", "".join(f"q('a b',{k}).\n" for k in range(6000))
+    yield "mixed-6000", "".join(f"e({i},{i + 1}).\np({i}) :- e({i},X), q(X).\n" for i in range(3000))
 
 
 def min_time(fn) -> float:
@@ -69,6 +77,16 @@ def min_time(fn) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return round(best, 6)
+
+
+def peak_kb(fn) -> float:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+    finally:
+        tracemalloc.stop()
 
 
 def cli_run_s(text: str) -> float:
@@ -96,6 +114,7 @@ def main() -> int:
             "clauses": sum(len(cs) for cs in program.predicates.values()),
             "parse_s": min_time(lambda: parse_program(text)),
             "engine_init_s": min_time(lambda: Engine(program)),
+            "parse_peak_kb": peak_kb(lambda: parse_program(text)),
         }
     out = {
         "python": platform.python_version(),

@@ -11,6 +11,7 @@ limit on ``int()`` if that is lower.  No operators beyond
 from __future__ import annotations
 
 import re
+import string
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -49,7 +50,9 @@ class Rows(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i: int) -> Clause:
+    def __getitem__(self, i: int | slice) -> Clause | list[Clause]:
+        if type(i) is slice:
+            return [_fact_clause(self.functor, row) for row in self.rows[i]]
         return _fact_clause(self.functor, self.rows[i])
 
     def __iter__(self):
@@ -105,14 +108,12 @@ class Program:
 # The token rules; every pattern below is built from them.  A quoted
 # atom's escapes are read whole, so an escaped quote does not end it.
 _WORD_CHARS = "A-Za-z0-9_"
-_PUNCT_CHARS = "(),/"
-_PUNCT = rf"[{_PUNCT_CHARS}]|:-"  # every punctuation token but '.'
+_PUNCT = r"[(),/]|:-"  # every punctuation token but '.'
 _INT = r"\d+"
 _NAME = rf"[A-Za-z_][{_WORD_CHARS}]*"  # an atom or a variable
 _ATOM = rf"[a-z][{_WORD_CHARS}]*"  # an unquoted atom
 _QUOTED_OPEN = r"'(?:\\.|[^'\\])*"  # a quoted atom up to its closing quote
 _QUOTED = _QUOTED_OPEN + "'"
-_VALID = rf"{_PUNCT}|{_INT}|{_NAME}|{_QUOTED}"  # every valid token but '.'
 # layout: white space and '%' comments.  A comment runs to the end of its
 # line: the lookahead keeps a pattern from ending it early and reading a
 # fact inside it.
@@ -121,95 +122,66 @@ _LAYOUT = rf"\s*(?:{_COMMENT}\s*)*"
 _MAX_DIGITS = 4300  # CPython's default limit on int() of a digit string
 _SAFE_DIGITS = 640  # always reads: no interpreter limit on int() is lower
 
-# Layout and comments, then one token: a valid token, '.', a quoted atom
-# whose closing quote is missing (so the scan never backtracks) or any other
-# character; _valid rejects the last two kinds.  The token is empty only at
-# the end of the text.
-_TOKEN_RE = re.compile(rf"{_LAYOUT}({_PUNCT}|\.|{_INT}|{_NAME}|{_QUOTED_OPEN}'?|\S)?")
-_VALID_RE = re.compile(rf"{_VALID}|\.")
+# A '.' and the ground facts after it, each name(c1,...,cn) with no layout
+# inside, every ci an integer of at most _SAFE_DIGITS digits or an unquoted
+# atom.  The token ends before the last fact's own '.', which is the next
+# token and carries the facts after it.  The regex engine keeps state for
+# every repetition, hence the cap.
+_FACTS_PER_TOKEN = 64
+_ARG = rf"(?:\d{{1,{_SAFE_DIGITS}}}|{_ATOM})"
+_FACT = rf"{_ATOM}\({_ARG}(?:,{_ARG})*\)"
+_DOT = rf"\.(?:{_LAYOUT}{_FACT}(?:\.{_LAYOUT}{_FACT}){{0,{_FACTS_PER_TOKEN - 1}}}(?=\.))?"
 
-# One ground fact name(c1, ..., cn)., each ci an integer or an unquoted
-# atom, with layout anywhere between its tokens: its name, then its
-# arguments either without layout (the common shape, split on ',') or with
-# it (split by _LOOSE_ARG_RE).  A longer digit run does not match, so the
-# general parser reports it.
-_ARG = rf"(?:\d{{1,{_MAX_DIGITS}}}|{_ATOM})"
-_FACT = (
-    rf"{_LAYOUT}({_ATOM}){_LAYOUT}\("
-    rf"(?:({_ARG}(?:,{_ARG})*)|({_LAYOUT}{_ARG}(?:{_LAYOUT},{_LAYOUT}{_ARG})*{_LAYOUT}))"
-    rf"\){_LAYOUT}\."
-)
-_FACT_RE = re.compile(_FACT)
-_LOOSE_ARG_RE = re.compile(rf"{_LAYOUT}({_ARG}){_LAYOUT},?")
-
-# A run of clauses that _FACT_RE does not read, each up to its '.': text
-# that splits into layout and valid tokens but '.', and after each '.'
-# either a fact, which ends the run (group 1 is then set), or the next
-# clause.  The run also ends at the end of the text, and early at a token
-# _valid rejects.  Names, ASCII digits, punctuation and white space are
-# matched a stretch at a time, not token by token: that is what makes a run
-# cheap.
-_TOKENS = rf"(?:[{_WORD_CHARS}{_PUNCT_CHARS}\s]+|{_INT}|:-|{_QUOTED}|{_COMMENT})*"
-_RUN_RE = re.compile(rf"{_TOKENS}(?:\.(?:((?={_FACT}))|{_TOKENS}))*")
+# Layout and comments, then one token: punctuation, a '.' with the facts it
+# carries, a valid token, a quoted atom whose closing quote is missing (so
+# the scan never backtracks) or any other character; _valid rejects the
+# last two kinds.  The token is empty only at the end of the text.
+_TOKEN_RE = re.compile(rf"{_LAYOUT}({_PUNCT}|{_DOT}|{_INT}|{_NAME}|{_QUOTED_OPEN}'?|\S)?")
+_VALID_RE = re.compile(rf"{_PUNCT}|{_INT}|{_NAME}|{_QUOTED}")  # every valid token but '.'
+_ROW_RE = re.compile(rf"\.{_LAYOUT}({_ATOM})\(([^)]*)\)")  # a fact a '.' carries: name, arguments
+# The first characters of a variable and of an atom: ASCII only, since the
+# parser also sees the tokens _valid rejects
+_VAR_START = frozenset(string.ascii_uppercase + "_")
+_ATOM_START = frozenset(string.ascii_lowercase + "'")
 
 
 def _valid(tok: str) -> bool:
-    return not tok or _VALID_RE.fullmatch(tok) is not None
+    return not tok or tok[0] == "." or _VALID_RE.fullmatch(tok) is not None
 
 
 def _unquote(tok: str) -> str:
     return tok[1:-1].replace("\\'", "'").replace("\\\\", "\\")
 
 
-def _read_facts(prog: Program, text: str, pos: int) -> int:
-    """The ground facts that follow offset ``pos``, appended to ``prog`` as
-    rows; returns the offset past the last of them."""
-    name = arity = None
-    while (m := _FACT_RE.match(text, pos)) is not None:
-        f_name, tight, loose = m.groups()
-        args = tight.split(",") if tight else _LOOSE_ARG_RE.findall(loose)
-        try:
-            row = tuple([int(a) if a.isdecimal() else functor(a, 0) for a in args])
-        except ValueError:  # the interpreter's digit limit is lower: the parser reports it
-            break
-        if f_name != name or len(row) != arity:
-            name, arity = f_name, len(row)
-            append = prog.row_appender(functor(name, arity))
-        append(row)
-        pos = m.end()
-    return pos
-
-
 class _Parser:
-    """The tokens of a run of clauses that ``_read_facts`` does not read,
-    from offset ``start`` of ``text`` up to a fact or the end of the text,
-    which the general parser reads."""
+    """The tokens of ``lead + text``, read by the general parser.  A ``lead``
+    of '.' makes the facts at the start of the text the first token's."""
 
-    def __init__(self, text: str, start: int):
+    def __init__(self, text: str, lead: str = ""):
         self.text = text
-        self.start = start
-        m = _RUN_RE.match(text, start)
-        self.end = m.end()
-        self.toks = _TOKEN_RE.findall(text, start, self.end)  # '' last: the end of the run
+        self.lead = lead
+        self.toks = _TOKEN_RE.findall(lead + text)  # '' last: the end of the text
         self.i = 0
-        if m.group(1) is None and self.end < len(text):
-            self.fail("", 0)  # reports the bad character
 
-    def fail(self, msg: str, k: int):
-        """Raise ``msg`` at token ``k``, unless a bad character stands
-        anywhere from this run on: that is reported first.  Tokens carry
-        no position, so the text is scanned again, only for an error."""
-        text = self.text
+    def fail(self, msg: str, k: int, past_dot: bool = False):
+        """Raise ``msg`` at token ``k``, or at the first token after the '.'
+        that starts it if ``past_dot``, unless a bad character stands
+        anywhere in the text: that is reported first.  Tokens carry no
+        position, so the text is scanned again, only for an error."""
+        text = self.lead + self.text
         off = None
-        for j, m in enumerate(_TOKEN_RE.finditer(text, self.start)):
+        for j, m in enumerate(_TOKEN_RE.finditer(text)):
             tok = m.group(1) or ""
             if j == k:
                 off = m.end() - len(tok)
+                if past_dot:
+                    off = _TOKEN_RE.match(text, off + 1).start(1)
             if not _valid(tok):
                 msg, off = f"unexpected character {tok[0]!r}", m.end() - len(tok)
                 break
             if not tok:
                 break
+        text, off = self.text, off - len(self.lead)
         raise ParseError(msg, text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
 
     def next(self) -> str:
@@ -225,7 +197,7 @@ class _Parser:
         t = self.next()
         if t[:1] == "'":
             return _unquote(t)
-        if not t[:1].islower():
+        if t[:1] not in _ATOM_START:
             self.fail(f"expected {what}", self.i - 1)
         return t
 
@@ -252,11 +224,11 @@ class _Parser:
             c = tok[:1]
             if c.isdecimal():
                 t = int(tok) if len(tok) <= _SAFE_DIGITS else self.integer(i - 1)
-            elif c.isupper() or c == "_":
+            elif c in _VAR_START:
                 t = Var() if tok == "_" else varmap.get(tok)
                 if t is None:
                     t = varmap[tok] = Var(tok)
-            elif c.islower() or c == "'":
+            elif c in _ATOM_START:
                 name = tok if c != "'" else _unquote(tok)
                 if toks[i] == "(":
                     i += 1
@@ -296,53 +268,60 @@ class _Parser:
             goals.append(self.callable_term(varmap, "body goal"))
         return tuple(goals)
 
+    def end(self, prog: Program) -> None:
+        """Read the '.' that ends a clause, and append to ``prog`` the rows
+        of the ground facts it carries, up to the last one's own '.'."""
+        tok = self.next()
+        if tok[:1] != ".":
+            self.fail("expected '.'", self.i - 1)
+        name = arity = None
+        while len(tok) > 1:
+            for f_name, args in _ROW_RE.findall(tok):
+                row = tuple([int(a) if a.isdecimal() else functor(a, 0) for a in args.split(",")])
+                if f_name != name or len(row) != arity:
+                    name, arity = f_name, len(row)
+                    append = prog.row_appender(functor(name, arity))
+                append(row)
+            tok = self.next()
+
 
 def _goal_functor(t) -> Functor:
     return t if type(t) is Functor else t.functor
 
 
 def parse_program(text: str) -> Program:
-    """Read a program.  At each clause start a whole ground fact is matched
-    first (``_read_facts``); a run of other clauses, up to the next such
-    fact, is tokenized from there and read by the general parser, which
-    raises every ``ParseError``."""
+    """Read a program.  The text is tokenized once; each '.' token carries
+    the ground facts that follow it, which are appended as rows, and the
+    general parser reads every other clause and raises every
+    ``ParseError``."""
     prog = Program()
     body_preds: list[Functor] = []
-    pos = 0
-    while True:
-        pos = _read_facts(prog, text, pos)
-        p = _Parser(text, pos)
-        if not p.toks[0]:  # '' is the end of the text
-            break
-        pos = p.end
-        while p.toks[p.i]:  # '' is the end of the run
-            if p.toks[p.i] == ":-":
-                p.next()
-                kw = p.i
-                name = p.name("a directive name")
-                if name != "table":
-                    p.fail(f"unsupported directive '{name}'", kw)
-                name = p.name("a predicate name")
-                p.expect("/", "'/'")
-                if not p.next()[:1].isdecimal():
-                    p.fail("expected an arity", p.i - 1)
-                arity = p.integer(p.i - 1)
-                p.expect(".", "'.'")
-                prog.tabled.add(functor(name, arity))
-                continue
+    p = _Parser(text, ".")
+    p.end(prog)
+    while p.toks[p.i]:  # '' is the end of the text
+        if p.toks[p.i] == ":-":
+            p.next()
+            kw = p.i
+            name = p.name("a directive name")
+            if name != "table":
+                p.fail(f"unsupported directive '{name}'", kw)
+            name = p.name("a predicate name")
+            p.expect("/", "'/'")
+            if not p.next()[:1].isdecimal():
+                p.fail("expected an arity", p.i - 1)
+            prog.tabled.add(functor(name, p.integer(p.i - 1)))
+        else:
             varmap: dict = {}
             head = p.callable_term(varmap, "clause head")
-            tok = p.next()
-            if tok == ":-":
+            goals = ()
+            if p.toks[p.i] == ":-":
+                p.next()
                 goals = p.body(varmap)
-                p.expect(".", "'.'")
-            elif tok == ".":
-                goals = ()
-            else:
-                p.fail("expected ':-' or '.'", p.i - 1)
+            elif p.toks[p.i][:1] != ".":
+                p.fail("expected ':-' or '.'", p.i)
             prog.add(head, goals)
-            for g in goals:
-                body_preds.append(_goal_functor(g))
+            body_preds += map(_goal_functor, goals)
+        p.end(prog)
     for f in body_preds:
         prog.predicates.setdefault(f, [])
     for f in prog.tabled:
@@ -354,13 +333,15 @@ def parse_query(text: str, varmap: dict | None = None) -> list:
     """Parse a '.'-terminated goal conjunction.  Pass a dict as `varmap` to
     capture the query's variable names (name -> Var), e.g. for printing
     answers under their source names."""
-    p = _Parser(text, 0)
+    p = _Parser(text)
     if not p.toks[0]:
         p.fail("empty query", 0)
     goals = list(p.body(varmap if varmap is not None else {}))
-    p.expect(".", "'.'")
-    if p.toks[p.i] or _TOKEN_RE.match(text, p.end).group(1):
-        p.fail("trailing text after query", p.i)
+    tok = p.next()
+    if tok[:1] != ".":
+        p.fail("expected '.'", p.i - 1)
+    if len(tok) > 1 or p.toks[p.i]:  # facts the '.' carries, or other tokens
+        p.fail("trailing text after query", p.i - 1, past_dot=True)
     return goals
 
 

@@ -1,4 +1,6 @@
+import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -129,6 +131,9 @@ ERROR_TABLE = [
     ("program", f":- table p/{LONG}.", LONG_MSG, 1, 12),
     ("program", f"p({LONG}).\nq(#).", "unexpected character '#'", 2, 3),
     ("query", f"p(X, {LONG}).", LONG_MSG, 1, 6),
+    # ground facts after a query's '.', which that '.' token carries
+    ("query", "p(X). e(1,2).", "trailing text after query", 1, 7),
+    ("query", "p(X). % c\n e(1,2).\ne(2,3).", "trailing text after query", 2, 2),
 ]
 
 
@@ -341,10 +346,12 @@ def test_prop_mutated_program_parses_or_raises(text, op, at, ch):
 
 # --- the ground-fact fast path against the general parser ---------------
 
+# (name, arguments, path): "token" when the '.' before the fact carries it,
+# "general" when the general parser reads it
 @pytest.mark.parametrize("text,fact", [
-    ("e(1,a).", ("e", (1, functor("a", 0)))),
-    ("edge ( 12 ,\n% c\n 7 ) .", ("edge", (12, 7))),
-    ("p(٣).", ("p", (3,))),
+    ("e(1,a).", ("e", (1, functor("a", 0)), "token")),
+    ("edge ( 12 ,\n% c\n 7 ) .", ("edge", (12, 7), "general")),
+    ("p(٣).", ("p", (3,), "token")),
     ("e.", None),
     ("e().", None),
     ("e(1,X).", None),
@@ -360,25 +367,27 @@ def test_prop_mutated_program_parses_or_raises(text, op, at, ch):
     ("Ee(1).", None),
     (":- table e/1.", None),
     ("", None),
-    ("edge(a,b,1).", ("edge", (functor("a", 0), functor("b", 0), 1))),
+    ("edge(a,b,1).", ("edge", (functor("a", 0), functor("b", 0), 1), "token")),
     ("% e(1,2).\n", None),
-    ("%e(1,2).\ne(3,x).", ("e", (3, functor("x", 0)))),
-    ("e(1 % one, two\n,x2 % e(9).\n).", ("e", (1, functor("x2", 0)))),
+    ("%e(1,2).\ne(3,x).", ("e", (3, functor("x", 0)), "token")),
+    ("e(1 % one, two\n,x2 % e(9).\n).", ("e", (1, functor("x2", 0)), "general")),
     ("e(1)% c", None),
-    (f"e({'9' * 4300}).", ("e", (int("9" * 4300),))),
+    (f"e({'9' * 4300}).", ("e", (int("9" * 4300),), "general")),
     (f"e({'9' * 4301}).", None),
 ], ids=_short_id)
 def test_ground_fact_shape(text, fact):
-    prog = Program()
-    end = reader._read_facts(prog, text, 0)
+    # the '.' that parse_program puts before the text
+    dot = reader._TOKEN_RE.match("." + text).group(1)
     if fact is None:
-        assert (end, prog.predicates) == (0, {})
+        assert dot == "."
     else:
-        name, args = fact
+        name, args, path = fact
+        # a carried fact ends before its own '.', the next token
+        assert dot == ("." + text[:-1] if path == "token" else ".")
         f = functor(name, len(args))
+        prog = parse_program(text)
         assert list(prog.predicates) == [f]
-        assert prog.predicates[f].rows == [args]
-        assert end == len(text)
+        assert type(prog.predicates[f]) is Rows and prog.predicates[f].rows == [args]
 
 
 def _outcome(text):
@@ -389,9 +398,16 @@ def _outcome(text):
     return program_sig(prog), [repr(f) for f in prog.predicates]
 
 
+# the tokenizer without facts: every '.' is a token of its own, and the
+# general parser reads every clause
+_GENERAL_TOKEN_RE = re.compile(
+    rf"{reader._LAYOUT}({reader._PUNCT}|\.|{reader._INT}|{reader._NAME}|{reader._QUOTED_OPEN}'?|\S)?"
+)
+
+
 def _general_outcome(text):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reader, "_read_facts", lambda prog, text, pos: pos)
+        mp.setattr(reader, "_TOKEN_RE", _GENERAL_TOKEN_RE)
         return _outcome(text)
 
 
@@ -423,42 +439,38 @@ def _fact_program_text(draw):
     return "".join(out)
 
 
+def _fact_run(n, comment_every=0, end=""):
+    """``n`` consecutive ground facts, a comment line before every
+    ``comment_every``-th, then ``end``: runs that cross the cap on the facts
+    one '.' token carries."""
+    lines = []
+    for k in range(n):
+        if comment_every and k % comment_every == 0:
+            lines.append(f"% e({k},n).")
+        lines.append(f"e({k},n{k % 7}).")
+    return "\n".join(lines) + "\n" + end
+
+
+@settings(max_examples=500)
 @given(_fact_program_text())
+@example(_fact_run(63))
+@example(_fact_run(64, comment_every=10))
+@example(_fact_run(65, end="p(X) :- e(X,n1)."))
+@example(":- table e/2.\n" + _fact_run(1000, comment_every=7))
+@example(_fact_run(70) + "e(X,n1) :- e(n1,X).\n" + _fact_run(70, comment_every=3))
 def test_prop_fast_path_matches_general_parser(text):
     assert _outcome(text) == _general_outcome(text)
 
 
+@settings(max_examples=500)
 @given(_fact_program_text(), _MUTATION, st.integers(0, 10**6), _MUTANT_CHARS)
 def test_prop_fast_path_matches_general_parser_on_mutants(text, op, at, ch):
     text = _mutate(text, op, at, ch)
     assert _outcome(text) == _general_outcome(text)
-    for m in reader._TOKEN_RE.finditer(text):  # the fast path raises at no token
-        reader._read_facts(Program(), text, m.end() - len(m.group(1) or ""))
-
-
-def _run_end(text, start):
-    """Where a run of general clauses from ``start`` ends, read token by
-    token: the offset, and whether a fact follows there."""
-    for m in reader._TOKEN_RE.finditer(text, start):
-        tok = m.group(1) or ""
-        if not tok:
-            return len(text), False
-        if not reader._valid(tok):
-            return m.end() - len(tok), False
-        if tok == "." and reader._FACT_RE.match(text, m.end()):
-            return m.end(), True
-
-
-@given(_fact_program_text(), _MUTATION, st.integers(0, 10**6), _MUTANT_CHARS, st.integers(0, 10**6))
-def test_prop_run_ends_where_the_tokenizer_says(text, op, at, ch, k):
-    # _RUN_RE reads names, digits, punctuation and layout a stretch at a
-    # time; it must stop exactly where the tokens say: at a fact after a
-    # '.', at a token _valid rejects, or at the end of the text
-    text = _mutate(text, op, at, ch)
-    starts = [m.start() for m in reader._TOKEN_RE.finditer(text)]
-    start = starts[k % len(starts)]
-    m = reader._RUN_RE.match(text, start)
-    assert (m.end(), m.group(1) is not None) == _run_end(text, start)
+    for tok in reader._TOKEN_RE.findall("." + text):
+        if tok[:1] == "." and len(tok) > 1:  # the facts a '.' carries are read whole
+            facts = [m[0] for m in reader._ROW_RE.finditer(tok)]
+            assert "".join(facts) == tok and len(facts) <= reader._FACTS_PER_TOKEN
 
 
 # --- rows: ground facts kept as argument tuples --------------------------
@@ -506,7 +518,7 @@ def test_rows_and_clauses_build_the_same_engine():
     view = _pred_view(Engine(rows))
     assert view == _pred_view(Engine(hand)) == _pred_view(Engine(_clause_program(ROWS_TEXT)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reader, "_read_facts", lambda prog, text, pos: pos)
+        mp.setattr(reader, "_TOKEN_RE", _GENERAL_TOKEN_RE)
         assert _pred_view(Engine(parse_program(ROWS_TEXT))) == view
     assert view[edge][:3] == (
         _P_FACTS2, [(1, 2), (1, functor("a", 0)), (functor("b", 0), 3), (functor("c d", 0), 1)],
@@ -548,55 +560,76 @@ def test_a_rule_turns_rows_into_clauses():
     assert type(nonground) is list and len(nonground) == 3
 
 
+class _TokenizerSpy:
+    """Stands for ``_TOKEN_RE`` and records each ``findall`` call: the text
+    and the tokens.  It has no other method, so any other scan fails."""
+
+    def __init__(self):
+        self.real = reader._TOKEN_RE
+        self.calls = []
+
+    def findall(self, text):
+        toks = self.real.findall(text)
+        self.calls.append((text, toks))
+        return toks
+
+
 def test_reader_scans_each_character_once(monkeypatch):
-    # 2,000 clauses, facts and rules in turn: every rule goes to the
-    # general parser, which tokenizes only up to its own '.'
+    # 2,000 clauses, facts and rules in turn: one findall reads the text
     text = "".join(f"e({i},{i + 1}).\np({i}) :- e({i},X), q(X).\n" for i in range(1000))
-    real = reader._TOKEN_RE
-    scanned = []  # (start, end) of every stretch the tokenizer read
-
-    class Spy:
-        def finditer(self, text, pos=0):
-            for m in real.finditer(text, pos):
-                scanned.append(m.span())
-                yield m
-
-        def findall(self, text, pos=0, endpos=None):
-            scanned.append((pos, len(text) if endpos is None else endpos))
-            return real.findall(text, pos, len(text) if endpos is None else endpos)
-
-        def match(self, text, pos=0):
-            m = real.match(text, pos)
-            scanned.append(m.span())
-            return m
-
-    monkeypatch.setattr(reader, "_TOKEN_RE", Spy())
-    prog = parse_program(text)
+    spy = _TokenizerSpy()
+    with monkeypatch.context() as mp:
+        mp.setattr(reader, "_TOKEN_RE", spy)
+        prog = parse_program(text)
     assert len(prog.predicates[functor("p", 1)]) == 1000
     assert len(prog.predicates[functor("e", 2)]) == 1000
-    scanned.sort()
-    assert all(end <= start for (_, end), (start, _) in zip(scanned, scanned[1:]))
-    assert len(scanned) > 1000
+    assert [t for t, _ in spy.calls] == ["." + text]
 
 
 def test_a_run_of_clauses_is_tokenized_once(monkeypatch):
-    # a fact, then three clauses the fact pattern declines, 100 times: one
-    # findall per run of three, and one at the end of the text
+    # a fact, then three clauses that are not ground facts, 100 times: one
+    # findall, in which the '.' before each fact carries it
     block = "e({i},{j}).\np({i}) :- e({i},X), q(X).\nq('{i}').\n:- table q/1.\n"
     text = "".join(block.format(i=i, j=i + 1) for i in range(100))
-    real = reader._TOKEN_RE
-    runs = []
-
-    class Spy:
-        def findall(self, text, pos, endpos):
-            toks = real.findall(text, pos, endpos)
-            runs.append(toks.count("."))
-            return toks
-
-    monkeypatch.setattr(reader, "_TOKEN_RE", Spy())
-    prog = parse_program(text)
-    assert runs == [3] * 100 + [0]
+    spy = _TokenizerSpy()
+    with monkeypatch.context() as mp:
+        mp.setattr(reader, "_TOKEN_RE", spy)
+        prog = parse_program(text)
+    assert [sum(t[:1] == "." and len(t) > 1 for t in toks) for _, toks in spy.calls] == [100]
     assert type(prog.predicates[functor("q", 1)]) is Rows and len(prog.predicates[functor("q", 1)]) == 100
+    assert type(prog.predicates[functor("e", 2)]) is Rows and len(prog.predicates[functor("e", 2)]) == 100
+
+
+def test_parse_memory_per_clause():
+    # the general parser's tokens and the rows it builds; a parse that held
+    # the regex engine's state for a whole run of clauses took 1,471 bytes
+    text = "".join(f"q('a b',{k}).\n" for k in range(6000))
+    parse_program(text)
+    tracemalloc.start()
+    try:
+        prog = parse_program(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prog.predicates[functor("q", 2)]) == 6000
+    assert peak / 6000 < 500
+
+
+def test_rows_slice_like_a_clause_list():
+    text = "e(1,2).\ne(2,3).\ne(3,a).\ne(b,4).\n"
+    rows = parse_program(text).clauses(functor("e", 2))
+    assert type(rows) is Rows
+    clauses = [Clause(g, ()) for g in parse_query(text.replace(".\n", ", ")[:-2] + ".")]
+    sigs = lambda cs: [clause_sig(c) for c in cs]
+    for s in [slice(None), slice(0, 2), slice(1, None), slice(-2, None), slice(None, None, -1),
+              slice(3, 0, -2), slice(5, 9), slice(-9, -3)]:
+        assert type(rows[s]) is list and sigs(rows[s]) == sigs(clauses[s])
+    for k in range(-4, 4):
+        assert clause_sig(rows[k]) == clause_sig(clauses[k])
+    assert sigs(reversed(rows)) == sigs(reversed(clauses))
+    assert [term_to_str(c.head) for c in rows[0:2]] == ["e(1,2)", "e(2,3)"]
+    with pytest.raises(IndexError):
+        rows[4]
 
 
 # --- property: deeply nested terms through reader, engine and printer --
