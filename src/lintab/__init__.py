@@ -16,7 +16,7 @@ from .engine import (
     solve,
 )
 from .reader import Clause, ParseError, Program, parse_program, parse_query, program_to_text
-from .tablespace import SubgoalFrame, TableSpace, TablingInvariantError, TrieNode
+from .tablespace import TablingInvariantError
 from .terms import Struct, Var, functor, term_to_str, unify
 
 __all__ = [
@@ -30,10 +30,7 @@ __all__ = [
     "StepBudgetExceeded",
     "StrategyConfig",
     "Struct",
-    "SubgoalFrame",
-    "TableSpace",
     "TablingInvariantError",
-    "TrieNode",
     "Var",
     "functor",
     "parse_program",

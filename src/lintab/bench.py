@@ -46,14 +46,6 @@ class GraphConfig:
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth {self.depth} out of supported range 1..{MAX_DEPTH}")
 
-    @property
-    def node_count(self) -> int:
-        if self.shape == "pyramid":
-            return self.depth * (self.depth + 1) // 2
-        if self.shape == "cycle":
-            return self.depth
-        return self.depth * self.depth
-
 
 @dataclass(frozen=True)
 class BenchSpec:

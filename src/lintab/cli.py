@@ -22,7 +22,7 @@ from .engine import (ALL_CONFIGS, DEFAULT_STEP_BUDGET, Engine, StepBudgetExceede
                      query_template)
 from .reader import ParseError, parse_program, parse_query
 from .tablespace import TablingInvariantError
-from .terms import Struct, Var, term_to_str
+from .terms import Trail, term_to_str, unify
 
 _VARIANTS = {
     "first": "recursive_first",
@@ -72,29 +72,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_bindings(template, answer) -> dict:
-    """Map each query variable to its value in ``answer``.  Answers are
-    fresh copies shaped exactly like the template; the first occurrence
-    of each variable wins, in left-to-right order."""
-    out: dict = {}
-    stack = [(template, answer)]
-    while stack:
-        t, a = stack.pop()
-        if type(t) is Var:
-            if t not in out:
-                out[t] = a
-        elif type(t) is Struct:
-            stack.extend(zip(reversed(t.args), reversed(a.args)))
-    return out
-
-
 def _format_answer(template, varmap: dict, answer) -> str:
+    """The query variables' bindings in ``answer``, an instance of the
+    query ``template``: unifying the two binds each variable, and undoing
+    the trail afterwards leaves the template unbound again."""
     if not varmap:
         return "true"
-    bound = _collect_bindings(template, answer)
+    trail = Trail()
+    unify(template, answer, trail)
     names: dict = {}
-    parts = [f"{name} = {term_to_str(bound[v], names)}" for name, v in varmap.items() if v in bound]
-    return ", ".join(parts) if parts else "true"
+    line = ", ".join([f"{name} = {term_to_str(v, names)}" for name, v in varmap.items()])
+    trail.undo_to(0)
+    return line
 
 
 def _cmd_run(args) -> int:
@@ -164,7 +153,7 @@ def _cmd_bench(args) -> int:
         return 2
     try:
         report = run_matrix(spec)
-    except (RuntimeError, TablingInvariantError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = report.render_structured() if args.stats == "structured" else report.render_text()

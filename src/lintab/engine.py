@@ -406,7 +406,7 @@ class Engine:
         change while its own choice point runs)."""
         stats = self.stats
         events = self.events
-        frame, _existed = self.ts.subgoal_check_insert(call)
+        frame = self.ts.subgoal_check_insert(call)
         state = frame.state
         if state == READY or state == LOOP_READY:
             frame.set_state(EVALUATING if state == READY else LOOP_EVALUATING)

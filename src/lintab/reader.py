@@ -324,8 +324,6 @@ def parse_program(text: str) -> Program:
         p.end(prog)
     for f in body_preds:
         prog.predicates.setdefault(f, [])
-    for f in prog.tabled:
-        prog.predicates.setdefault(f, [])
     return prog
 
 

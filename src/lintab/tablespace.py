@@ -1,13 +1,17 @@
 """Table space: subgoal trie, per-subgoal solution tries, subgoal frames.
 
 Both tries share one node type and are keyed by the term's preorder token
-stream (``term_tokens``), one token per level.  A node is terminal when it
-carries an ordinal: the frame id (index in ``frames``) in the subgoal trie,
-the insertion ordinal (index in ``solution_order``) in a solution trie;
-solution terminals are always leaves.  ``descend`` checks/inserts in one
-pass, stepping into or creating each token's child as it derefs the term.
-Nodes keep a parent pointer instead of the term, which matters at millions
-of stored solutions: ``solution_term`` rebuilds a term from its terminal.
+stream, one token per level: an int for an integer leaf, the interned
+``Functor`` of an atom or of a compound's head (whose arity gives the
+subtree's width), and ``('v', k)`` for the k-th distinct unbound variable.
+Two terms are variants exactly when their streams are equal.  A node is
+terminal when it carries an ordinal: the frame id (index in ``frames``) in
+the subgoal trie, the insertion ordinal (index in ``solution_order``) in a
+solution trie; solution terminals are always leaves.  ``descend``
+checks/inserts in one pass, stepping into or creating each token's child
+as it derefs the term.  Nodes keep a parent pointer instead of the term,
+which matters at millions of stored solutions: ``solution_term`` rebuilds
+a term from its terminal.
 A flat pair ``f(a, b)``, ``a`` and ``b`` atomic, is inserted by two ``child``
 lookups, delivered from its last two tokens and rebuilt from its last three
 nodes, with no stream walk; every other answer walks its stream.
@@ -67,8 +71,8 @@ def child(node: TrieNode, tok) -> TrieNode:
 def descend(node: TrieNode, t) -> TrieNode:
     """Walk ``t``'s preorder token stream down from ``node``, creating the
     children it lacks (each step is ``child``, inlined); return the last
-    token's node.  Unbound variables are numbered by first appearance, as
-    in ``term_tokens``."""
+    token's node.  Unbound variables are numbered by first appearance:
+    the k-th distinct one is the token ``('v', k)``."""
     varmap = None
     stack = [t]
     while stack:
@@ -211,10 +215,10 @@ class TableSpace:
         self.subgoal_root = TrieNode(None, None)
         self.frames: list[SubgoalFrame] = []
 
-    def subgoal_check_insert(self, call) -> tuple[SubgoalFrame, bool]:
+    def subgoal_check_insert(self, call) -> SubgoalFrame:
         node = descend(self.subgoal_root, call)
         if node.ordinal is not None:
-            return self.frames[node.ordinal], True
+            return self.frames[node.ordinal]
         c = deref(call)
         f = c.functor if type(c) is Struct else c
         if type(f) is not Functor:
@@ -222,7 +226,7 @@ class TableSpace:
         node.ordinal = len(self.frames)
         frame = SubgoalFrame(f, node, node.ordinal)
         self.frames.append(frame)
-        return frame, False
+        return frame
 
     def solution_check_insert(self, sol, frame: SubgoalFrame) -> bool:
         if frame.state == COMPLETE:
@@ -255,16 +259,3 @@ class TableSpace:
             if ch is not None:
                 node.children = None
                 stack += ch.values()
-
-    def dump(self) -> str:
-        """Deterministic text rendering, one frame per block."""
-        out = []
-        for fr in self.frames:
-            out.append(f"== {fr.subgoal_str()} state={fr.state}")
-            if fr.looping_alternatives:
-                idxs = ",".join(str(i) for i in fr.looping_alternatives)
-                out.append(f"   looping_alts: [{idxs}]")
-            for i, node in enumerate(fr.solution_order):
-                mark = " *loop" if i in fr.looping_solutions else ""
-                out.append(f"   sol {i}: {term_to_str(solution_term(node))}{mark}")
-        return "\n".join(out) + ("\n" if out else "")

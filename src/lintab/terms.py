@@ -1,4 +1,4 @@
-"""First-order terms, destructive unification, and canonical token streams.
+"""First-order terms, destructive unification, copying and printing.
 
 Term representation:
 
@@ -136,35 +136,6 @@ def unify(a, b, trail: Trail) -> bool:
             return False
         stack.extend(zip(x.args, y.args))
     return True
-
-
-def term_tokens(t, varmap: Optional[dict] = None) -> tuple:
-    """Preorder token stream of a term.
-
-    Tokens are ints (integer leaves), interned Functor objects (atom, or
-    compound head whose arity gives the subtree width), and ``('v', k)``
-    pairs numbering unbound variables by first appearance.  Two terms are
-    variants exactly when their token streams are equal.
-    """
-    if varmap is None:
-        varmap = {}
-    out = []
-    stack = [t]
-    while stack:
-        x = deref(stack.pop())
-        tx = type(x)
-        if tx is Var:
-            k = varmap.get(x)
-            if k is None:
-                k = len(varmap)
-                varmap[x] = k
-            out.append(("v", k))
-        elif tx is Struct:
-            out.append(x.functor)
-            stack.extend(reversed(x.args))
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 def fresh_copy(t, mapping: Optional[dict] = None):

@@ -1,6 +1,9 @@
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from lintab import reader
 from lintab.engine import _P_FACTS2, _P_GENERAL, _P_TABLED, Engine
 from lintab.reader import Clause, ParseError, Program, Rows, parse_program, parse_query, program_to_text
-from lintab.terms import Functor, Struct, Var, functor, term_to_str, term_tokens
+from lintab.terms import Functor, Struct, Var, functor, term_to_str
+from test_terms import term_tokens
 
 PATH_PROG = (
     ":- table path/2.\n"
@@ -189,6 +193,43 @@ def test_integer_over_a_lowered_limit_is_a_parse_error():
 def test_duplicate_table_directive_idempotent():
     prog = parse_program(":- table p/1.\n:- table p/1.\np(1).")
     assert prog.tabled == {functor("p", 1)}
+
+
+# 24 tabled predicates without clauses, one of them named in a body
+TABLED_ONLY_TEXT = "".join(f":- table t{i}/1.\n" for i in range(24)) + (
+    ":- table p/1.\n"
+    "p(X) :- q(X), t3(X), s(X,Y).\n"
+    "r(1).\n"
+    "e(1,2).\n"
+    "p(2).\n"
+    "s(X,Y) :- t7(Y), e(X,Y), w.\n"
+    "e(2,3).\n"
+)
+# heads and facts as the reader meets them, then predicates named only in
+# bodies, in body order; the engine registers the other tabled ones
+TABLED_ONLY_ORDER = ["p/1", "r/1", "e/2", "s/2", "q/1", "t3/1", "t7/1", "w/0"]
+
+
+def test_predicates_in_the_order_the_reader_meets_them():
+    prog = parse_program(TABLED_ONLY_TEXT)
+    assert [repr(f) for f in prog.predicates] == TABLED_ONLY_ORDER
+    assert len(prog.tabled) == 25
+    engine = Engine(prog)
+    assert all(engine.preds[f].kind == _P_TABLED for f in prog.tabled)
+    assert engine.run_query(parse_query("t0(X)."))[0] == []
+
+
+def test_predicate_order_is_the_same_in_every_process():
+    code = "import sys\nfrom lintab.reader import parse_program\nprint(list(parse_program(sys.stdin.read()).predicates))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    outs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code], input=TABLED_ONLY_TEXT, capture_output=True,
+                              text=True, timeout=60, env={**env, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == f"[{', '.join(TABLED_ONLY_ORDER)}]\n"
 
 
 def test_unsupported_directive():

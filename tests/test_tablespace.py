@@ -20,8 +20,9 @@ from lintab.tablespace import (
 )
 from lintab.engine import ALL_CONFIGS, DEFAULT_STEP_BUDGET, Engine, StepBudgetExceeded, StrategyConfig
 from lintab.reader import parse_program, parse_query
-from lintab.terms import Functor, Struct, Var, atom, functor, term_to_str, term_tokens
+from lintab.terms import Functor, Struct, Var, atom, functor, term_to_str
 from test_engine import RAISES, RAISES_CONFIGS, RAISES_QUERY
+from test_terms import term_tokens
 
 
 def s(name, *args):
@@ -40,17 +41,15 @@ def terminal_tokens(node):
 def make_frame(ts=None, call=None):
     ts = ts or TableSpace()
     call = call if call is not None else s("p", Var())
-    frame, _ = ts.subgoal_check_insert(call)
-    return ts, frame
+    return ts, ts.subgoal_check_insert(call)
 
 
 def test_subgoal_variants_share_frame():
     ts = TableSpace()
-    f1, e1 = ts.subgoal_check_insert(s("path", 1, Var("X")))
-    f2, e2 = ts.subgoal_check_insert(s("path", 1, Var("Y")))
-    f3, e3 = ts.subgoal_check_insert(s("path", 2, Var("X")))
-    assert (e1, e2, e3) == (False, True, False)
-    assert f1 is f2
+    f1 = ts.subgoal_check_insert(s("path", 1, Var("X")))
+    f2 = ts.subgoal_check_insert(s("path", 1, Var("Y")))
+    assert f2 is f1 and ts.frames == [f1]  # a variant call finds the frame
+    f3 = ts.subgoal_check_insert(s("path", 2, Var("X")))
     assert f3 is not f1
     assert ts.frames == [f1, f3]
     assert (f1.fid, f3.fid) == (0, 1)  # the subgoal terminal's ordinal
@@ -195,17 +194,32 @@ def test_illegal_shortcut_transitions():
         f.set_state(COMPLETE)
 
 
+def dump(ts):
+    """Deterministic text rendering of a table space, one frame per block."""
+    out = []
+    for fr in ts.frames:
+        out.append(f"== {fr.subgoal_str()} state={fr.state}")
+        if fr.looping_alternatives:
+            idxs = ",".join(str(i) for i in fr.looping_alternatives)
+            out.append(f"   looping_alts: [{idxs}]")
+        for i, node in enumerate(fr.solution_order):
+            mark = " *loop" if i in fr.looping_solutions else ""
+            out.append(f"   sol {i}: {term_to_str(solution_term(node))}{mark}")
+    return "\n".join(out) + ("\n" if out else "")
+
+
 def test_dump_golden():
     ts = TableSpace()
-    fa, _ = ts.subgoal_check_insert(s("a", Var()))
-    fb, _ = ts.subgoal_check_insert(s("b", Var()))
+    assert dump(ts) == ""
+    fa = ts.subgoal_check_insert(s("a", Var()))
+    fb = ts.subgoal_check_insert(s("b", Var()))
     ts.solution_check_insert(s("a", 1), fa)
     ts.solution_check_insert(s("a", 2), fa)
     fa.mark_looping_solution(fa.solution_order[1])
     fb.looping_alternatives.setdefault(0)
     fa.set_state(EVALUATING)
     fa.set_state(COMPLETE)
-    assert ts.dump() == (
+    assert dump(ts) == (
         "== a(_G0) state=complete\n"
         "   sol 0: a(1)\n"
         "   sol 1: a(2) *loop\n"
@@ -270,15 +284,16 @@ def test_prop_trie_bijection(arg_lists):
     # term_tokens defines variant identity; both tries must agree with it
     ts = TableSpace()
     call = s("p", Var(), Var())
-    sols, _ = ts.subgoal_check_insert(call)  # this frame takes every term as a solution
+    sols = ts.subgoal_check_insert(call)  # this frame takes every term as a solution
     frames, seen, flat = {term_tokens(call): sols}, set(), True
     for skels in arg_lists:
         pool = {}  # one variable may occur in several arguments
         args = [build(sk, pool) for sk in skels]
         t = s("p", *args) if args else atom("p")
         key = term_tokens(t)
-        frame, existed = ts.subgoal_check_insert(t)
-        assert existed == (key in frames)
+        known = len(ts.frames)
+        frame = ts.subgoal_check_insert(t)
+        assert (len(ts.frames) == known) == (key in frames)  # a variant adds no frame
         assert frames.setdefault(key, frame) is frame
         assert ts.solution_check_insert(t, sols) == (key not in seen)
         seen.add(key)
@@ -306,7 +321,7 @@ def test_prop_trie_bijection(arg_lists):
 )
 def test_prop_looping_plus_round_is_subsequence_of_all(vals, data):
     ts = TableSpace()
-    frame, _ = ts.subgoal_check_insert(s("p", Var()))
+    frame = ts.subgoal_check_insert(s("p", Var()))
     for v in vals:
         ts.solution_check_insert(s("p", v), frame)
     n = len(frame.solution_order)

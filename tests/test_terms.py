@@ -11,13 +11,40 @@ from lintab.terms import (
     fresh_copy,
     functor,
     term_to_str,
-    term_tokens,
     unify,
 )
 
 
 def s(name, *args):
     return Struct(functor(name, len(args)), tuple(args))
+
+
+def term_tokens(t) -> tuple:
+    """Preorder token stream of a term, the key of both table-space tries.
+
+    Tokens are ints (integer leaves), interned Functor objects (atom, or
+    compound head whose arity gives the subtree width), and ``('v', k)``
+    pairs numbering unbound variables by first appearance.  Two terms are
+    variants exactly when their token streams are equal.
+    """
+    varmap = {}
+    out = []
+    stack = [t]
+    while stack:
+        x = deref(stack.pop())
+        tx = type(x)
+        if tx is Var:
+            k = varmap.get(x)
+            if k is None:
+                k = len(varmap)
+                varmap[x] = k
+            out.append(("v", k))
+        elif tx is Struct:
+            out.append(x.functor)
+            stack.extend(reversed(x.args))
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 def tokens_to_term(tokens):
