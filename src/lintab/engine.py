@@ -45,7 +45,6 @@ from .tablespace import (
     TableSpace,
     TablingInvariantError,
     TrieNode,
-    child,
     drs_selection,
     solution_term,
 )
@@ -143,11 +142,7 @@ class _Pred:
         self.facts = None
         if tabled:
             self.kind = _P_TABLED
-        elif (
-            len(clauses) == 1
-            and f.arity == 0
-            and not clauses[0].body
-        ):
+        elif len(clauses) == 1 and f.arity == 0 and not clauses[0].body:
             self.kind = _P_FACT0
         elif type(clauses) is Rows and f.arity == 2:
             self.kind = _P_FACTS2
@@ -158,7 +153,10 @@ class _Pred:
         else:
             self.kind = _P_GENERAL
         if self.kind in (_P_TABLED, _P_GENERAL):
-            self.clauses = [(c.head, c.body) for c in clauses]
+            if type(clauses) is Rows:
+                self.clauses = [(Struct(f, row) if row else f, ()) for row in clauses.rows]
+            else:
+                self.clauses = [(c.head, c.body) for c in clauses]
 
 
 def _ground_atomic(t) -> bool:
@@ -191,11 +189,8 @@ class Engine:
         self.step_budget = step_budget
         self.events: list[str] | None = [] if trace else None  # per run, see _reset
         self.preds: dict[Functor, _Pred] = {}
-        for f, clauses in program.predicates.items():
-            self.preds[f] = _Pred(f, clauses, f in program.tabled)
-        for f in program.tabled:
-            if f not in self.preds:
-                self.preds[f] = _Pred(f, [], True)
+        for f in dict.fromkeys([*program.predicates, *program.tabled]):
+            self.preds[f] = _Pred(f, program.clauses(f), f in program.tabled)
         self._warned: set[Functor] = set()
         self._reset([])
 
@@ -614,9 +609,10 @@ class Engine:
         None when only the general loop can deliver them.  The collect batch
         serves the query's own choice point.  The table batch needs a flat
         source table and a continuation that inserts the call's last
-        argument into the parent's table; it takes the whole table at the
-        first delivery, which follows at once, so it never meets an answer
-        it cannot insert."""
+        argument into a binary parent table; at the first delivery, which
+        follows at once, it hands the whole table to
+        ``TableSpace.insert_pairs``, so it never meets an answer it cannot
+        insert."""
         events = self.events
         if cont is _COLLECT_CELL and call is self._template:
             # the query's own choice point.  A tabled call ending a clause has
@@ -627,7 +623,7 @@ class Engine:
                     events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
             self.steps += len(sols)
             return len(sols)
-        if not frame.flat_pairs or type(call) is not Struct or len(call.args) != 2:
+        if not frame.flat_pairs or frame.functor.arity != 2:
             return None
         cv = deref(call.args[1])
         if not _ground_atomic(deref(call.args[0])) or type(cv) is not Var:
@@ -645,25 +641,14 @@ class Engine:
             return None
         # whatever follows the insert never runs: a new solution always fails
         # back under local scheduling
-        sol = entry.sol
-        if type(sol) is not Struct or len(sol.args) != 2:
-            return None
-        a0 = deref(sol.args[0])
-        if not _ground_atomic(a0) or deref(sol.args[1]) is not cv:
-            return None
         parent = entry.frame
-        xnode = child(parent.sol_func_node, a0)
-        porder = parent.solution_order
-        p0 = len(porder)
-        pch = xnode.children
-        if pch is None:
-            pch = xnode.children = {}
-        for z in [z for node in sols if (z := node.token) not in pch]:
-            if z not in pch:  # a token met twice in one batch is stored once
-                nn = TrieNode(z, xnode)
-                nn.ordinal = len(porder)
-                porder.append(nn)
-                pch[z] = nn
+        if parent.functor.arity != 2:
+            return None
+        a0 = deref(entry.sol.args[0])
+        if not _ground_atomic(a0) or deref(entry.sol.args[1]) is not cv:
+            return None
+        p0 = len(parent.solution_order)
+        pch = self.ts.insert_pairs(parent, a0, sols)
         # as on the general loop: a step per answer delivered, per 0-ary fact
         # passed and per insert
         self.steps += len(sols) * (2 + len(bumps))

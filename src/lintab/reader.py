@@ -39,7 +39,8 @@ def _fact_clause(f: Functor, row: tuple) -> Clause:
 class Rows(Sequence):
     """The clauses of a predicate that are all ground facts, each argument
     an integer or an atom, kept as their argument tuples (rows).  Indexing
-    and iteration build the ``Clause`` objects on demand."""
+    and iteration build the ``Clause`` objects on demand; the engine reads
+    the rows."""
 
     __slots__ = ("functor", "rows")
 
@@ -55,18 +56,14 @@ class Rows(Sequence):
             return [_fact_clause(self.functor, row) for row in self.rows[i]]
         return _fact_clause(self.functor, self.rows[i])
 
-    def __iter__(self):
-        f = self.functor
-        return (_fact_clause(f, row) for row in self.rows)
-
 
 @dataclass(eq=False)
 class Program:
     """Predicates and their clauses in source order, and the tabled
     predicates.  Build one with ``parse_program`` or ``add``: a predicate
-    whose clauses are all ground facts is then kept as ``Rows``, which the
-    engine indexes as they are.  A clause list put into ``predicates``
-    directly stays one, and is resolved clause by clause."""
+    whose clauses are all ground facts is then kept as ``Rows``, which
+    only ``row_appender`` creates and appends to.  A clause list put into
+    ``predicates`` directly stays one."""
 
     predicates: dict[Functor, list[Clause] | Rows] = field(default_factory=dict)
     tabled: set[Functor] = field(default_factory=set)
@@ -87,9 +84,7 @@ class Program:
                     if type(a) is not int and type(a) is not Functor:
                         break
                 else:  # a ground fact, each argument an integer or an atom
-                    if cs is None:
-                        cs = self.predicates[f] = Rows(f)
-                    cs.rows.append(row)
+                    self.row_appender(f)(row)
                     return
             cs = self.predicates[f] = list(cs or ())  # a rule or a non-ground fact: clauses from now on
         cs.append(Clause(head, body))

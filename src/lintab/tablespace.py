@@ -13,8 +13,9 @@ as it derefs the term.  Nodes keep a parent pointer instead of the term,
 which matters at millions of stored solutions: ``solution_term`` rebuilds
 a term from its terminal.
 A flat pair ``f(a, b)``, ``a`` and ``b`` atomic, is inserted by two ``child``
-lookups, delivered from its last two tokens and rebuilt from its last three
-nodes, with no stream walk; every other answer walks its stream.
+lookups (a table batch's pairs, all under one ``a``, by ``insert_pairs``),
+delivered from its last two tokens and rebuilt from its last three nodes,
+with no stream walk; every other answer walks its stream.
 When a table space dies it unlinks its tries (``TableSpace.__del__``), so
 they are freed by reference counting rather than by the cyclic collector.
 """
@@ -245,6 +246,24 @@ class TableSpace:
         node.ordinal = len(frame.solution_order)
         frame.solution_order.append(node)
         return True
+
+    def insert_pairs(self, frame: SubgoalFrame, a, sols) -> dict:
+        """Store ``f(a, z)`` in ``frame``'s table for the last token ``z`` of
+        each flat-pair leaf in ``sols``, in order, each new one once; return
+        the children of ``a``'s node, ``z`` -> its leaf."""
+        if frame.state == COMPLETE:
+            raise TablingInvariantError("insert into complete table")
+        node = child(frame.sol_func_node, a)
+        ch = node.children
+        if ch is None:
+            ch = node.children = {}
+        order = frame.solution_order
+        for z in [z for n in sols if (z := n.token) not in ch]:
+            if z not in ch:  # a token met twice in one batch is stored once
+                leaf = ch[z] = TrieNode(z, node)
+                leaf.ordinal = len(order)
+                order.append(leaf)
+        return ch
 
     def __del__(self) -> None:
         # Every trie is a chain of parent <-> children cycles.  Unlinking the

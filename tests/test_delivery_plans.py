@@ -14,16 +14,12 @@ error line.  The stub and the wrapper are test fakes, not engine options.
 """
 
 import random
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-
-from counter_matrix import SMALL_PROGRAMS, cells, random_program, run  # noqa: E402
-from lintab.engine import ALL_CONFIGS, Engine  # noqa: E402
-from lintab.reader import parse_program  # noqa: E402
-from lintab.tablespace import TableSpace  # noqa: E402
-from lintab.terms import term_to_str  # noqa: E402
+from counter_matrix import SMALL_PROGRAMS, cells, random_program, run
+from lintab.engine import ALL_CONFIGS, Engine
+from lintab.reader import parse_program
+from lintab.tablespace import TableSpace
+from lintab.terms import term_to_str
 
 WRAPPED_SEED = 7
 WRAPPED_PROGRAMS = 60

@@ -9,22 +9,18 @@ reachability oracle that never touches the engine.
 import gc
 import random
 import re
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-
-from counter_matrix import random_program  # noqa: E402
-from lintab import engine as engine_module  # noqa: E402
-from lintab.bench import gen_edges, GraphConfig, make_path_program, edge_facts, oracle_reachability  # noqa: E402
-from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded, StrategyConfig, solve  # noqa: E402
-from lintab.reader import parse_program, parse_query  # noqa: E402
-from lintab.tablespace import TablingInvariantError  # noqa: E402
-from lintab.terms import term_to_str  # noqa: E402
+from counter_matrix import random_program
+from lintab import engine as engine_module
+from lintab.bench import gen_edges, GraphConfig, make_path_program, edge_facts, oracle_reachability
+from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded, StrategyConfig, solve
+from lintab.reader import parse_program, parse_query
+from lintab.tablespace import TablingInvariantError
+from lintab.terms import term_to_str
 
 MUTUAL = """
 :- table a/1.

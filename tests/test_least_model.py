@@ -10,20 +10,15 @@ until ROADMAP item 2 mends them.  ``scripts/least_model_check.py`` runs
 the same check over 24,000 cells a seed.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-
-from counter_matrix import RANDOM_PROGRAMS, RANDOM_SEED  # noqa: E402
-from least_model import constants, instances, least_model, query_answers  # noqa: E402
-from least_model_check import failing_cells, grounded_answers  # noqa: E402
-from lintab.engine import ALL_CONFIGS  # noqa: E402
-from lintab.reader import parse_program, parse_query  # noqa: E402
-from lintab.tablespace import TablingInvariantError  # noqa: E402
-from lintab.terms import atom  # noqa: E402
+from counter_matrix import RANDOM_PROGRAMS, RANDOM_SEED
+from least_model import constants, instances, least_model, query_answers
+from least_model_check import failing_cells, grounded_answers
+from lintab.engine import ALL_CONFIGS
+from lintab.reader import parse_program, parse_query
+from lintab.tablespace import TablingInvariantError
+from lintab.terms import atom
 
 
 def test_least_model_grounds_unbound_head_variables():

@@ -543,7 +543,31 @@ def _pred_view(engine):
     }
 
 
+# fact predicates whose engine entries resolve clauses, with no 0-ary fact:
+# ternary rows, and binary rows that are tabled
+ARITY3_TEXT = ":- table path/2.\npath(X,Y) :- edge(X,Y,_).\n" + "".join(
+    f"edge({i},{i + 1},1).\nedge({i},{2 * i},b).\n" for i in range(40)
+)
+TABLED_FACTS_TEXT = ":- table t/2.\nt(1,2).\nt(2,a).\nt(b,3).\np(X,Y) :- t(X,Z), t(Z,Y).\n"
+
+
+def _printed_heads(engine):
+    return {f: [term_to_str(h) for h, _ in p.clauses or ()] for f, p in engine.preds.items()}
+
+
 def test_rows_and_clauses_build_the_same_engine():
+    for text in (ARITY3_TEXT, TABLED_FACTS_TEXT):
+        prog = parse_program(text)
+        assert any(type(cs) is Rows for cs in prog.predicates.values())
+        fact_clause, calls = reader._fact_clause, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reader, "_fact_clause", lambda f, row: calls.append(row) or fact_clause(f, row))
+            engine = Engine(prog)
+        assert calls == []  # the engine reads rows as rows
+        # the same program written as clause lists
+        listed = Engine(Program({f: list(cs) for f, cs in prog.predicates.items()}, set(prog.tabled)))
+        assert _pred_view(engine) == _pred_view(listed) == _pred_view(Engine(_clause_program(text)))
+        assert _printed_heads(engine) == _printed_heads(listed)
     rows = parse_program(ROWS_TEXT)
     edge = functor("edge", 2)
     assert type(rows.predicates[edge]) is Rows

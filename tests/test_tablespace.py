@@ -87,6 +87,40 @@ def test_insert_into_complete_rejected():
     f.set_state(COMPLETE)
     with pytest.raises(TablingInvariantError):
         ts.solution_check_insert(s("p", 1), f)
+    with pytest.raises(TablingInvariantError):
+        ts.insert_pairs(f, 1, [])
+    assert f.solution_order == []
+
+
+def _pairs_table_space(batch):
+    """Source tables e(1,_) and e(2,_) with the answers 3, b, 5 and 5, 4, and
+    a parent table p(7,_) holding p(7,4); then p(7,z) for each source answer
+    z in turn, by one ``insert_pairs`` or one ``solution_check_insert`` per
+    pair.  Returns the table space, the parent and what the inserts gave."""
+    ts = TableSpace()
+    srcs = [ts.subgoal_check_insert(s("e", a, Var())) for a in (1, 2)]
+    for a, src, zs in ((1, srcs[0], [3, atom("b"), 5]), (2, srcs[1], [5, 4])):
+        for z in zs:
+            ts.solution_check_insert(s("e", a, z), src)
+    parent = ts.subgoal_check_insert(s("p", 7, Var()))
+    ts.solution_check_insert(s("p", 7, 4), parent)
+    sols = srcs[0].solution_order + srcs[1].solution_order
+    if batch:
+        return ts, parent, ts.insert_pairs(parent, 7, sols)
+    return ts, parent, [ts.solution_check_insert(s("p", 7, n.token), parent) for n in sols]
+
+
+def test_insert_pairs_stores_a_batch_as_one_insert_per_pair():
+    ts, parent, children = _pairs_table_space(batch=True)
+    # ordinals follow first appearance; 5, met twice in the batch, is stored
+    # once; 4, already in the table, is not added again and keeps ordinal 0
+    got = [(term_to_str(solution_term(n)), n.ordinal) for n in parent.solution_order]
+    assert got == [("p(7,4)", 0), ("p(7,3)", 1), ("p(7,b)", 2), ("p(7,5)", 3)]
+    assert children == {n.token: n for n in parent.solution_order}
+    assert parent.flat_pairs
+    one_by_one, _, new = _pairs_table_space(batch=False)
+    assert new == [True, True, True, False, False]
+    assert dump(ts) == dump(one_by_one)
 
 
 def insert_ints(ts, f, vals):
