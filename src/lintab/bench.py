@@ -140,11 +140,6 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def parse_structured(text: str) -> list[dict]:
-    """Inverse of render_structured: one record per non-empty line."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
 def gen_edges(g: GraphConfig) -> list[tuple[int, int]]:
     """Deterministic edge list for a graph config.  Node ids are positive
     integers assigned row-major (pyramid and grid) or along the ring (cycle)."""

@@ -191,8 +191,24 @@ class Engine:
         self.preds: dict[Functor, _Pred] = {}
         for f in dict.fromkeys([*program.predicates, *program.tabled]):
             self.preds[f] = _Pred(f, program.clauses(f), f in program.tabled)
-        self._warned: set[Functor] = set()
+        for cs in program.predicates.values():
+            if type(cs) is not Rows:
+                for c in cs:
+                    self._register(c.body)
         self._reset([])
+
+    def _register(self, goals) -> list[Functor]:
+        """Register the predicate of each goal in ``goals`` that has none
+        yet as an empty non-tabled predicate: a call to it is one step and
+        one SLD call, and fails.  Goals that are not atoms or compounds are
+        skipped.  Returns the functors registered."""
+        new = []
+        for g in goals:
+            f = g if type(g) is Functor else g.functor if type(g) is Struct else None
+            if f is not None and f not in self.preds:
+                self.preds[f] = _Pred(f, [], False)
+                new.append(f)
+        return new
 
     def _reset(self, goals: list) -> None:
         """The per-run state, fresh for a query of ``goals``."""
@@ -238,9 +254,13 @@ class Engine:
 
     def run_query(self, goals: list) -> tuple[list, EvalStats]:
         """Evaluate a goal conjunction.  Returns raw answers (terms, or
-        solution-trie terminals when a batch delivery ran) and the stats."""
+        solution-trie terminals when a batch delivery ran) and the stats.
+        A goal on a predicate the program never names is registered as one
+        without clauses, with a warning the first time the engine meets it."""
         if not goals:
             raise ValueError("empty query")
+        for f in self._register(goals):
+            log.warning("unknown predicate %s/%d fails", f.name, f.arity)
         self._reset(goals)
         cont = _COLLECT_CELL
         for g in reversed(goals):
@@ -282,13 +302,7 @@ class Engine:
                 te = type(entry)
                 if te is Struct or te is Functor:
                     f = entry if te is Functor else entry.functor
-                    pred = preds.get(f)
-                    if pred is None:
-                        if f not in self._warned:
-                            self._warned.add(f)
-                            log.warning("unknown predicate %s/%d fails", f.name, f.arity)
-                        cont = None
-                        break
+                    pred = preds[f]
                     kind = pred.kind
                     self.steps += 1
                     if kind == _P_TABLED:
@@ -632,8 +646,8 @@ class Engine:
         bumps = []
         entry, rest = cont
         while type(entry) is Functor:
-            p = self.preds.get(entry)
-            if p is None or p.kind != _P_FACT0:
+            p = self.preds[entry]
+            if p.kind != _P_FACT0:
                 return None
             bumps.append(p.key)
             entry, rest = rest

@@ -59,11 +59,12 @@ class Rows(Sequence):
 
 @dataclass(eq=False)
 class Program:
-    """Predicates and their clauses in source order, and the tabled
-    predicates.  Build one with ``parse_program`` or ``add``: a predicate
-    whose clauses are all ground facts is then kept as ``Rows``, which
-    only ``row_appender`` creates and appends to.  A clause list put into
-    ``predicates`` directly stays one."""
+    """The predicates that have clauses, each with its clauses in source
+    order, and the tabled predicates.  Build one with ``parse_program`` or
+    ``add``: a predicate whose clauses are all ground facts is then kept as
+    ``Rows``, which only ``row_appender`` creates and appends to.  A clause
+    list put into ``predicates`` directly stays one.  The engine registers
+    the predicates that have no clauses."""
 
     predicates: dict[Functor, list[Clause] | Rows] = field(default_factory=dict)
     tabled: set[Functor] = field(default_factory=set)
@@ -280,17 +281,12 @@ class _Parser:
             tok = self.next()
 
 
-def _goal_functor(t) -> Functor:
-    return t if type(t) is Functor else t.functor
-
-
 def parse_program(text: str) -> Program:
     """Read a program.  The text is tokenized once; each '.' token carries
     the ground facts that follow it, which are appended as rows, and the
     general parser reads every other clause and raises every
     ``ParseError``."""
     prog = Program()
-    body_preds: list[Functor] = []
     p = _Parser(text, ".")
     p.end(prog)
     while p.toks[p.i]:  # '' is the end of the text
@@ -315,10 +311,7 @@ def parse_program(text: str) -> Program:
             elif p.toks[p.i][:1] != ".":
                 p.fail("expected ':-' or '.'", p.i)
             prog.add(head, goals)
-            body_preds += map(_goal_functor, goals)
         p.end(prog)
-    for f in body_preds:
-        prog.predicates.setdefault(f, [])
     return prog
 
 

@@ -41,10 +41,6 @@ def functor(name: str, arity: int) -> Functor:
     return f
 
 
-def atom(name: str) -> Functor:
-    return functor(name, 0)
-
-
 class Var:
     __slots__ = ("ref", "name")
 

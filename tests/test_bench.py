@@ -1,5 +1,7 @@
 """Benchmark harness tests: generators, oracle, program templates, matrix."""
 
+import json
+
 import pytest
 
 from lintab.bench import (
@@ -9,7 +11,6 @@ from lintab.bench import (
     gen_edges,
     make_path_program,
     oracle_reachability,
-    parse_structured,
     run_matrix,
 )
 from lintab.engine import ALL_CONFIGS, Engine, StrategyConfig
@@ -178,7 +179,7 @@ def test_matrix_cells_after_a_budget_error_run_the_same_query():
 def test_structured_rendering_round_trips():
     spec = BenchSpec(GraphConfig("pyramid", 4), with_slds=True, configs=ALL_CONFIGS[:3])
     report = run_matrix(spec)
-    recs = parse_structured(report.render_structured())
+    recs = [json.loads(line) for line in report.render_structured().splitlines()]
     assert recs == report.records()
     for rec in recs:
         for key in ("shape", "depth", "variant", "dre", "dra", "drs", "alts_explored",

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lintab.bench import parse_structured
 from lintab.cli import main
 from lintab.engine import ALL_CONFIGS, solve
 from lintab.reader import parse_program, parse_query
@@ -29,6 +28,19 @@ b(X) :- a(X).
 b(1).
 edge(2).
 """
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(*args, env=None, **kwargs):
+    """``python -m lintab.cli *args`` in a child process that imports
+    lintab from this checkout's ``src``, with ``env`` added to its
+    environment."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "lintab.cli", *args], capture_output=True, text=True,
+                          timeout=60, env=env, **kwargs)
 
 
 @pytest.fixture
@@ -144,10 +156,7 @@ def test_run_integer_over_a_lowered_limit_is_parse_error(tmp_path, program, quer
     # 640 is the lowest limit the interpreter accepts
     p = tmp_path / "long.pl"
     p.write_text(program)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lintab.cli", "run", "--program", str(p), "--query", query],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"},
-    )
+    proc = run_cli("run", "--program", str(p), "--query", query, env={"PYTHONINTMAXSTRDIGITS": "640"})
     assert (proc.returncode, proc.stderr) == (2, f"error: line 1, col {col}: integer of more than 640 digits\n")
 
 
@@ -187,16 +196,20 @@ def test_run_step_budget_is_engine_error(program_file, capsys):
     assert "step budget" in capsys.readouterr().err
 
 
+def test_run_query_on_an_unknown_predicate_warns_and_fails(program_file):
+    proc = run_cli("run", "--program", program_file, "--query", "nope(X).")
+    assert proc.returncode == 0, proc.stderr
+    assert "% config=standard answers=0 " in proc.stdout
+    assert "% sld_calls: nope/1=1" in proc.stdout
+    assert proc.stderr == "unknown predicate nope/1 fails\n"
+
+
 def test_run_step_budget_bounds_answer_deliveries(tmp_path):
     # q(f(Y)) :- p(Y) feeds p's own table and never calls a new predicate,
     # so only a budget on every step stops it
     p = tmp_path / "grow.pl"
     p.write_text(":- table p/1.\np(X) :- q(X).\nq(f(Y)) :- p(Y).\nq(a).\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "lintab.cli", "run", "--program", str(p), "--query", "p(X).",
-         "--step-budget", "1000"],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_cli("run", "--program", str(p), "--query", "p(X).", "--step-budget", "1000")
     assert proc.returncode == 1
     assert "step budget of 1000 exceeded" in proc.stderr
 
@@ -225,7 +238,7 @@ def test_bench_text_table(capsys):
 def test_bench_all_configs_structured_round_trip(capsys):
     assert main(["bench", "--shape", "grid", "--depth", "3", "--all-configs",
                  "--stats", "structured"]) == 0
-    recs = parse_structured(capsys.readouterr().out)
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(recs) == 8
     assert {r["config"] for r in recs} == {
         "standard", "dre", "dra", "drs", "dre+dra", "dre+drs", "dra+drs", "dre+dra+drs"
@@ -236,7 +249,7 @@ def test_bench_all_configs_structured_round_trip(capsys):
 def test_bench_variant_and_bound_flags(capsys):
     assert main(["bench", "--shape", "cycle", "--depth", "5", "--variant", "last",
                  "--bound", "--stats", "structured"]) == 0
-    (rec,) = parse_structured(capsys.readouterr().out)
+    (rec,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert rec["variant"] == "recursive_last"
     assert rec["bound"] is True
     assert rec["answer_count"] == 5
@@ -276,10 +289,7 @@ def test_run_cyclic_binding_has_no_answers(tmp_path, text, query, flags):
     # never ends; the 1 GiB cap makes such a run fail fast
     p = tmp_path / "cyclic.pl"
     p.write_text(text)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lintab.cli", "run", "--program", str(p), "--query", query, *flags],
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
-    )
+    proc = run_cli("run", "--program", str(p), "--query", query, *flags, preexec_fn=_cap_address_space)
     assert proc.returncode == 0, proc.stderr
     assert "answers=0" in proc.stdout
     assert not [line for line in proc.stdout.splitlines() if " = " in line]

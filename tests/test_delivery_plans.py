@@ -134,3 +134,22 @@ def test_wrapped_random_programs_deliver_as_the_general_plan(monkeypatch):
     assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
     assert chosen == {"general", "table", "collect"}
 
+
+
+# table deliveries that Engine._batch must decline: a continuation through a
+# 0-ary predicate that is a rule, not a single fact, and inserts into tables
+# of arity 3 and 1
+DECLINED_BATCHES = [
+    ("rule0", ":- table p/2.\np(X,Z) :- e(X,Y), p(Y,Z), ok.\np(X,Z) :- e(X,Z).\nok :- e(1,2).\n"
+     "e(1,2).\ne(2,1).\ne(2,3).\n", ("p(X,Z).",)),
+    ("parent3", ":- table p/2.\n:- table w/3.\np(X,Z) :- e(X,Z).\nw(a,Z,c) :- p(1,Z).\ne(1,2).\ne(1,3).\n",
+     ("w(A,B,C).",)),
+    ("parent1", ":- table p/2.\n:- table w/1.\np(X,Z) :- e(X,Z).\nw(a) :- p(1,Z).\ne(1,2).\ne(1,3).\n",
+     ("w(A).",)),
+]
+
+
+def test_declined_table_batches_deliver_as_the_general_plan(monkeypatch):
+    n, diffs, chosen = differences(DECLINED_BATCHES, monkeypatch)
+    assert n == 8 * len(DECLINED_BATCHES)
+    assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"

@@ -21,6 +21,8 @@ from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded, StrategyConfi
 from lintab.reader import parse_program, parse_query
 from lintab.tablespace import TablingInvariantError
 from lintab.terms import term_to_str
+from test_delivery_plans import observe
+from test_reader import ROWS_TEXT, _clause_program
 
 MUTUAL = """
 :- table a/1.
@@ -163,14 +165,41 @@ def test_empty_relation_completes_empty(config):
     assert frame.solution_order == []
 
 
+CLAUSELESS = ":- table p/2.\np(X,Y) :- e(X,Y).\np(X,Y) :- f, e(Y,X).\np(X,Y) :- g(X), q.\np(1,2).\nq.\n"
+
+
 def test_clauseless_predicates_count_one_call_and_fail():
     # e/2, f/0 and g/1 occur only in bodies: each call is one step and one
     # sld call, and fails without touching a fact index
-    text = ":- table p/2.\np(X,Y) :- e(X,Y).\np(X,Y) :- f, e(Y,X).\np(X,Y) :- g(X), q.\np(1,2).\nq.\n"
-    eng, answers, stats = run(text, "p(X,Y).")
+    eng, answers, stats = run(CLAUSELESS, "p(X,Y).")
     assert [term_to_str(a) for a in answers] == ["p(1,2)"]
     assert stats.sld_calls == {"e/2": 1, "f/0": 1, "g/1": 1}
     assert eng.steps == 10
+
+
+@pytest.mark.parametrize("text,queries", [
+    (CLAUSELESS, ["p(X,Y).", "p(1,Y).", "e(X,Y).", "g(1), p(X,Y)."]),
+    (ROWS_TEXT, ["t(X,Y).", "edge(X,Y).", "edge(b,Y).", "w(a,X,Y).", "q.", "go, t(1,Y)."]),
+    (PATH, ["path(1,Y).", "path(X,Y)."]),
+], ids=["clauseless", "rows", "path"])
+def test_added_and_parsed_programs_run_the_same(text, queries, caplog):
+    # the engine registers every predicate without clauses, however the
+    # program was built: Program.add knows only the clauses
+    parsed, added = parse_program(text), _clause_program(text)
+    for query in queries:
+        for config in ALL_CONFIGS:
+            assert observe(added, query, config) == observe(parsed, query, config), (query, config.label)
+    assert caplog.records == []
+
+
+def test_unknown_query_goal_warns_once_counts_one_call_and_fails(caplog):
+    eng = Engine(parse_program(MUTUAL))
+    for _ in range(2):
+        raw, stats = eng.run_query(parse_query("nope(X)."))
+        assert (raw, stats.sld_calls, eng.steps) == ([], {"nope/1": 1}, 1)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "unknown predicate nope/1 fails")
+    ]
 
 
 def test_ground_query_true_or_false():

@@ -18,14 +18,14 @@ from least_model_check import failing_cells, grounded_answers
 from lintab.engine import ALL_CONFIGS
 from lintab.reader import parse_program, parse_query
 from lintab.tablespace import TablingInvariantError
-from lintab.terms import atom
+from lintab.terms import functor
 
 
 def test_least_model_grounds_unbound_head_variables():
     program = parse_program(":- table p/2.\np(X,Y) :- e(X,Z).\np(a,b).\ne(1,2).\n")
     query = parse_query("p(X,X).")
     universe = constants(program, query)
-    a, b = atom("a"), atom("b")
+    a, b = functor("a", 0), functor("b", 0)
     assert universe == {1, 2, a, b}
     assert {("p", (1, y)) for y in universe} <= least_model(program, universe)
     assert query_answers(program, query) == {("p", (1, 1))}

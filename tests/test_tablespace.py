@@ -20,7 +20,7 @@ from lintab.tablespace import (
 )
 from lintab.engine import ALL_CONFIGS, DEFAULT_STEP_BUDGET, Engine, StepBudgetExceeded, StrategyConfig
 from lintab.reader import parse_program, parse_query
-from lintab.terms import Functor, Struct, Var, atom, functor, term_to_str
+from lintab.terms import Functor, Struct, Var, functor, term_to_str
 from test_engine import RAISES, RAISES_CONFIGS, RAISES_QUERY
 from test_terms import term_tokens
 
@@ -99,7 +99,7 @@ def _pairs_table_space(batch):
     pair.  Returns the table space, the parent and what the inserts gave."""
     ts = TableSpace()
     srcs = [ts.subgoal_check_insert(s("e", a, Var())) for a in (1, 2)]
-    for a, src, zs in ((1, srcs[0], [3, atom("b"), 5]), (2, srcs[1], [5, 4])):
+    for a, src, zs in ((1, srcs[0], [3, functor("b", 0), 5]), (2, srcs[1], [5, 4])):
         for z in zs:
             ts.solution_check_insert(s("e", a, z), src)
     parent = ts.subgoal_check_insert(s("p", 7, Var()))
@@ -278,7 +278,7 @@ def build(skel, pool):
     if isinstance(skel, int):
         return skel
     if skel[0] == "atom":
-        return atom(skel[1])
+        return functor(skel[1], 0)
     if skel[0] == "var":
         if skel[1] not in pool:
             pool[skel[1]] = Var()
@@ -323,7 +323,7 @@ def test_prop_trie_bijection(arg_lists):
     for skels in arg_lists:
         pool = {}  # one variable may occur in several arguments
         args = [build(sk, pool) for sk in skels]
-        t = s("p", *args) if args else atom("p")
+        t = s("p", *args) if args else functor("p", 0)
         key = term_tokens(t)
         known = len(ts.frames)
         frame = ts.subgoal_check_insert(t)

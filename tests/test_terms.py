@@ -6,7 +6,6 @@ from lintab.terms import (
     Struct,
     Trail,
     Var,
-    atom,
     deref,
     fresh_copy,
     functor,
@@ -87,24 +86,23 @@ def tokens_to_term(tokens):
 def test_functor_interning():
     assert functor("f", 2) is functor("f", 2)
     assert functor("f", 2) is not functor("f", 3)
-    assert atom("nil") is functor("nil", 0)
 
 
 def test_unify_atoms_and_ints():
     tr = Trail()
-    assert unify(atom("a"), atom("a"), tr)
-    assert not unify(atom("a"), atom("b"), tr)
+    assert unify(functor("a", 0), functor("a", 0), tr)
+    assert not unify(functor("a", 0), functor("b", 0), tr)
     assert unify(7, 7, tr)
     assert not unify(7, 8, tr)
-    assert not unify(7, atom("a"), tr)
+    assert not unify(7, functor("a", 0), tr)
 
 
 def test_unify_binds_and_undoes():
     x, y = Var("X"), Var("Y")
     tr = Trail()
     m = len(tr)
-    assert unify(s("f", x, 3), s("f", atom("a"), y), tr)
-    assert deref(x) is atom("a")
+    assert unify(s("f", x, 3), s("f", functor("a", 0), y), tr)
+    assert deref(x) is functor("a", 0)
     assert deref(y) == 3
     tr.undo_to(m)
     assert x.ref is None and y.ref is None
@@ -123,7 +121,7 @@ def test_unify_functor_mismatch():
     tr = Trail()
     assert not unify(s("f", 1), s("g", 1), tr)
     assert not unify(s("f", 1), s("f", 1, 2), tr)
-    assert not unify(s("f", 1), atom("f"), tr)
+    assert not unify(s("f", 1), functor("f", 0), tr)
 
 
 def test_unify_shared_var_conflict():
@@ -165,8 +163,8 @@ def test_tokens_shape():
 def test_tokens_follow_bindings():
     x = Var()
     tr = Trail()
-    unify(x, atom("a"), tr)
-    assert term_tokens(s("f", x)) == (functor("f", 1), atom("a"))
+    unify(x, functor("a", 0), tr)
+    assert term_tokens(s("f", x)) == (functor("f", 1), functor("a", 0))
 
 
 def variant(a, b):
@@ -184,7 +182,7 @@ def test_variant():
 
 def test_tokens_roundtrip_simple():
     x = Var()
-    t = s("p", x, s("g", x), atom("end"))
+    t = s("p", x, s("g", x), functor("end", 0))
     back = tokens_to_term(term_tokens(t))
     assert variant(t, back)
 
@@ -222,7 +220,7 @@ def test_fresh_copy_deeply_nested():
 def test_term_to_str():
     x = Var("X")
     assert term_to_str(s("path", x, 3)) == "path(X,3)"
-    assert term_to_str(atom("hello world")) == "'hello world'"
+    assert term_to_str(functor("hello world", 0)) == "'hello world'"
     assert term_to_str(s("f", Var(), Var())) == "f(_G0,_G1)"
     names = {}
     a, b = Var(), Var()
@@ -252,7 +250,7 @@ def build(skel, pool):
         return skel
     tag = skel[0]
     if tag == "atom":
-        return atom(skel[1])
+        return functor(skel[1], 0)
     if tag == "var":
         k = skel[1]
         if k not in pool:
