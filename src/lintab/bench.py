@@ -1,11 +1,11 @@
 """Graph generators, path-program templates, and the strategy-matrix harness.
 
 Three edge topologies (pyramid, cycle, grid) feed a tabled transitive-closure
-program in two clause orders (recursive clause first or last), optionally
-instrumented with sld1..sld4 marker facts so the per-call-site SLD counters
-can be compared across strategies.  `run_matrix` evaluates one cell per
-strategy configuration and cross-checks every answer set against a
-breadth-first oracle that never touches the engine.
+program in three variants (right-recursive clause first or last, or
+left-recursive), optionally instrumented with sld1..sld4 marker facts so the
+per-call-site SLD counters can be compared across strategies.  `run_matrix`
+evaluates one cell per strategy configuration and cross-checks every answer
+set against a breadth-first oracle that never touches the engine.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .engine import (
 from .reader import parse_program, parse_query
 
 SHAPES = ("pyramid", "cycle", "grid")
-VARIANTS = ("recursive_first", "recursive_last")
+VARIANTS = ("recursive_first", "recursive_last", "left_recursive")
 
 # generous cap; rejects typos like a negative or six-digit depth before the
 # generators try to build them
@@ -178,9 +178,11 @@ def gen_edges(g: GraphConfig) -> list[tuple[int, int]]:
     return edges
 
 
-_REC_CLAUSE = {
-    False: "path(X,Z) :- edge(X,Y), path(Y,Z).",
-    True: "path(X,Z) :- sld1, edge(X,Y), path(Y,Z), sld2.",
+_REC_CLAUSE = {  # (left-recursive, with sld markers) -> the recursive clause
+    (False, False): "path(X,Z) :- edge(X,Y), path(Y,Z).",
+    (False, True): "path(X,Z) :- sld1, edge(X,Y), path(Y,Z), sld2.",
+    (True, False): "path(X,Z) :- path(X,Y), edge(Y,Z).",
+    (True, True): "path(X,Z) :- sld1, path(X,Y), edge(Y,Z), sld2.",
 }
 _BASE_CLAUSE = {
     False: "path(X,Z) :- edge(X,Z).",
@@ -193,8 +195,8 @@ def make_path_program(variant: str = "recursive_first", with_slds: bool = False)
     edge/2 facts."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    rec, base = _REC_CLAUSE[with_slds], _BASE_CLAUSE[with_slds]
-    clauses = [rec, base] if variant == "recursive_first" else [base, rec]
+    rec, base = _REC_CLAUSE[variant == "left_recursive", with_slds], _BASE_CLAUSE[with_slds]
+    clauses = [base, rec] if variant == "recursive_last" else [rec, base]
     lines = [":- table path/2."] + clauses
     if with_slds:
         lines += ["sld1.", "sld2.", "sld3.", "sld4."]

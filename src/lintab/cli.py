@@ -24,12 +24,8 @@ from .reader import ParseError, parse_program, parse_query
 from .tablespace import TablingInvariantError
 from .terms import Trail, term_to_str, unify
 
-_VARIANTS = {
-    "first": "recursive_first",
-    "last": "recursive_last",
-    "recursive_first": "recursive_first",
-    "recursive_last": "recursive_last",
-}
+_VARIANTS = {"first": "recursive_first", "last": "recursive_last", "left": "left_recursive"}
+_VARIANTS.update({v: v for v in _VARIANTS.values()})  # the full names too
 
 
 def _add_strategy_flags(p: argparse.ArgumentParser) -> None:

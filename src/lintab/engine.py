@@ -18,6 +18,12 @@ queries are O(log n) on a monotone event stack, which keeps the
 per-event cost constant instead of walking the generator stack on every
 repeated call.
 
+An answer reaches a table one insert per continuation, or in a batch step
+that counts the steps and SLD calls the general path would: the table
+batch stores a whole flat table, and the fact batch every fact a bound
+call of a binary fact predicate matches, when the continuation (past any
+0-ary facts) only stores ``f(a, Z)`` for the call's unbound ``Z``.
+
 Three optimizations combine freely:
 
 * dre: a repeated call steals the next untried clause of the evaluating
@@ -147,9 +153,9 @@ class _Pred:
         elif type(clauses) is Rows and f.arity == 2:
             self.kind = _P_FACTS2
             self.facts = list(clauses.rows)
-            self.index = {}  # first argument -> its (a0, a1) pairs
-            for pair in self.facts:
-                self.index.setdefault(pair[0], []).append(pair)
+            self.index = {}  # first argument -> its second arguments, in fact order
+            for a0, a1 in self.facts:
+                self.index.setdefault(a0, []).append(a1)
         else:
             self.kind = _P_GENERAL
         if self.kind in (_P_TABLED, _P_GENERAL):
@@ -315,16 +321,16 @@ class Engine:
                         cont = rest
                         continue
                     if kind == _P_FACTS2:
-                        a0 = deref(entry.args[0])
-                        if type(a0) is Var:
-                            facts = pred.facts
-                        else:
-                            facts = pred.index.get(a0)
-                            if facts is None:
-                                cont = None
-                                break
-                            a0 = None  # bound: the index already matched it
-                        cps.append(self._facts(facts, a0, deref(entry.args[1]), rest))
+                        c0, c1 = deref(entry.args[0]), deref(entry.args[1])
+                        if type(c0) is Var:
+                            cps.append(self._facts(pred.facts, c0, c1, rest))
+                        elif zs := pred.index.get(c0):
+                            sink = self._sink(rest, c1)
+                            if sink is None:
+                                cps.append(self._seconds(zs, c1, rest))
+                            else:
+                                self.steps += 1  # the fact batch: _seconds' first step
+                                self._store(sink, zs)
                         cont = None
                         break
                     cps.append(self._interior(entry, pred.clauses, rest))
@@ -362,21 +368,35 @@ class Engine:
     # -- non-tabled calls --------------------------------------------------
 
     def _facts(self, facts, c0, c1, cont):
-        """Bind ``c0`` (None when the call's first argument is bound) and
-        ``c1`` to each matching pair of ``facts`` in turn."""
+        """Bind the unbound ``c0``, then ``c1``, to each pair of ``facts``."""
         trail = self.trail
         mark = len(trail)
         self.steps += 1
         for f0, f1 in facts:
-            if c0 is not None:
-                c0.ref = f0
-                trail.append(c0)
+            c0.ref = f0
+            trail.append(c0)
             x = deref(c1)
             if type(x) is Var:
                 x.ref = f1
                 trail.append(x)
             elif not (x is f1 or x == f1):
                 trail.undo_to(mark)
+                continue
+            yield cont
+            trail.undo_to(mark)
+            self.steps += 1
+
+    def _seconds(self, zs, c1, cont):
+        """Bind ``c1`` to each of ``zs``, the second arguments the index
+        holds for a call's bound first argument, or match it against them."""
+        trail = self.trail
+        mark = len(trail)
+        self.steps += 1
+        for z in zs:
+            if type(c1) is Var:
+                c1.ref = z
+                trail.append(c1)
+            elif not (c1 is z or c1 == z):
                 continue
             yield cont
             trail.undo_to(mark)
@@ -622,11 +642,10 @@ class Engine:
         as the general loop would, and return how many there were; or return
         None when only the general loop can deliver them.  The collect batch
         serves the query's own choice point.  The table batch needs a flat
-        source table and a continuation that inserts the call's last
-        argument into a binary parent table; at the first delivery, which
-        follows at once, it hands the whole table to
-        ``TableSpace.insert_pairs``, so it never meets an answer it cannot
-        insert."""
+        source table, a call whose first argument is ground and atomic, and
+        a continuation that ``_sink`` accepts; at the first delivery, which
+        follows at once, it stores the whole table, so it never meets an
+        answer it cannot insert."""
         events = self.events
         if cont is _COLLECT_CELL and call is self._template:
             # the query's own choice point.  A tabled call ending a clause has
@@ -637,12 +656,22 @@ class Engine:
                     events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
             self.steps += len(sols)
             return len(sols)
-        if not frame.flat_pairs or frame.functor.arity != 2:
+        if not frame.flat_pairs or frame.functor.arity != 2 or not _ground_atomic(deref(call.args[0])):
             return None
-        cv = deref(call.args[1])
-        if not _ground_atomic(deref(call.args[0])) or type(cv) is not Var:
+        sink = self._sink(cont, deref(call.args[1]))
+        if sink is None:
             return None
-        # every continuation ends in the query's collect cell or an insert
+        consumed = None if events is None else [f"consume g{frame.fid} {n.ordinal} via={via}" for n in sols]
+        self._store(sink, [node.token for node in sols], consumed)
+        return len(sols)
+
+    def _sink(self, cont, cv):
+        """The insert a batch can make for ``cont`` when the call's second
+        argument is the unbound ``cv``: past any 0-ary facts, ``cont`` must
+        store ``f(a, cv)`` in a binary table, ``a`` ground and atomic.
+        Returns (that table, ``a``, the 0-ary facts' keys), or None."""
+        if type(cv) is not Var:
+            return None
         bumps = []
         entry, rest = cont
         while type(entry) is Functor:
@@ -651,31 +680,36 @@ class Engine:
                 return None
             bumps.append(p.key)
             entry, rest = rest
-        if type(entry) is not _NewSol:
-            return None
         # whatever follows the insert never runs: a new solution always fails
         # back under local scheduling
-        parent = entry.frame
-        if parent.functor.arity != 2:
+        if type(entry) is not _NewSol or entry.frame.functor.arity != 2:
             return None
-        a0 = deref(entry.sol.args[0])
-        if not _ground_atomic(a0) or deref(entry.sol.args[1]) is not cv:
+        a = deref(entry.sol.args[0])
+        if not _ground_atomic(a) or deref(entry.sol.args[1]) is not cv:
             return None
-        p0 = len(parent.solution_order)
-        pch = self.ts.insert_pairs(parent, a0, sols)
-        # as on the general loop: a step per answer delivered, per 0-ary fact
-        # passed and per insert
-        self.steps += len(sols) * (2 + len(bumps))
-        if bumps and sols:
-            sc = self.stats.sld_calls
-            for key in bumps:
-                sc[key] = sc.get(key, 0) + len(sols)
+        return entry.frame, a, bumps
+
+    def _store(self, sink, zs, consumed=None):
+        """Store ``f(a, z)`` for each of ``zs`` through ``sink``, as found by
+        ``_sink``, counting as the general loop would: per ``z`` a step to
+        bind it, one per 0-ary fact passed and one for the insert.  A traced
+        run logs each ``z``'s insert, after its line of ``consumed`` if any."""
+        parent, a, bumps = sink
+        o = len(parent.solution_order)
+        pch = self.ts.insert_pairs(parent, a, zs)
+        n = len(zs)
+        self.steps += n * (2 + len(bumps))
+        sc = self.stats.sld_calls
+        for key in bumps if n else ():
+            sc[key] = sc.get(key, 0) + n
+        events = self.events
         if events is not None:
-            for node in sols:
-                o = pch[node.token].ordinal
-                events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
-                events.append(f"new_solution g{parent.fid} {o if o >= p0 else 'dup'}")
-        return len(sols)
+            for i, z in enumerate(zs):
+                if consumed:
+                    events.append(consumed[i])
+                new = pch[z].ordinal == o  # else stored before, or earlier in zs
+                events.append(f"new_solution g{parent.fid} {o if new else 'dup'}")
+                o += new
 
 
 def query_template(goals: list):

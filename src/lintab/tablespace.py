@@ -247,10 +247,10 @@ class TableSpace:
         frame.solution_order.append(node)
         return True
 
-    def insert_pairs(self, frame: SubgoalFrame, a, sols) -> dict:
-        """Store ``f(a, z)`` in ``frame``'s table for the last token ``z`` of
-        each flat-pair leaf in ``sols``, in order, each new one once; return
-        the children of ``a``'s node, ``z`` -> its leaf."""
+    def insert_pairs(self, frame: SubgoalFrame, a, zs) -> dict:
+        """Store ``f(a, z)`` in ``frame``'s table for each atomic ``z`` of
+        ``zs``, in order, each new one once; return the children of ``a``'s
+        node, ``z`` -> its leaf."""
         if frame.state == COMPLETE:
             raise TablingInvariantError("insert into complete table")
         node = child(frame.sol_func_node, a)
@@ -258,8 +258,8 @@ class TableSpace:
         if ch is None:
             ch = node.children = {}
         order = frame.solution_order
-        for z in [z for n in sols if (z := n.token) not in ch]:
-            if z not in ch:  # a token met twice in one batch is stored once
+        for z in zs:
+            if z not in ch:
                 leaf = ch[z] = TrieNode(z, node)
                 leaf.ordinal = len(order)
                 order.append(leaf)

@@ -87,10 +87,18 @@ def test_path_program_last_swaps_clause_order():
     assert "sld1." not in lines
 
 
+def test_path_program_left_recursive():
+    lines = make_path_program("left_recursive", False).strip().splitlines()
+    assert lines[1:] == ["path(X,Z) :- path(X,Y), edge(Y,Z).", "path(X,Z) :- edge(X,Z)."]
+    lines = make_path_program("left_recursive", True).strip().splitlines()
+    assert lines[1:3] == ["path(X,Z) :- sld1, path(X,Y), edge(Y,Z), sld2.", "path(X,Z) :- sld3, edge(X,Z), sld4."]
+    assert lines[3:] == ["sld1.", "sld2.", "sld3.", "sld4."]
+
+
 def test_path_program_parses():
     from lintab.terms import functor
 
-    for variant in ("recursive_first", "recursive_last"):
+    for variant in ("recursive_first", "recursive_last", "left_recursive"):
         for slds in (False, True):
             text = make_path_program(variant, slds) + edge_facts([(1, 2)])
             prog = parse_program(text)
@@ -126,6 +134,21 @@ def test_matrix_small_grid_all_configs():
     drs = report.cell(StrategyConfig(drs=True))
     assert dra.stats.alts_explored <= std.stats.alts_explored
     assert drs.stats.nonleader_sols_consumed <= std.stats.nonleader_sols_consumed
+
+
+LEFT_GRAPHS = [("pyramid", range(2, 13)), ("cycle", range(2, 13)), ("grid", range(2, 9))]
+
+
+@pytest.mark.parametrize("slds", [False, True], ids=["plain", "slds"])
+def test_matrix_left_recursion_matches_the_oracle(slds):
+    # every left-recursive answer is stored by a fact call that ends in an
+    # insert, so these cells check the fact batch against the BFS oracle
+    # (run_matrix raises on a mismatch) under all 8 configs
+    for shape, depths in LEFT_GRAPHS:
+        for depth in depths:
+            report = run_matrix(BenchSpec(GraphConfig(shape, depth), variant="left_recursive", with_slds=slds))
+            assert [c.config for c in report.cells] == list(ALL_CONFIGS)
+            assert all(c.error is None and c.answer_count == report.oracle_count for c in report.cells)
 
 
 def test_matrix_rejects_duplicated_answers(monkeypatch):

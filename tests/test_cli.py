@@ -255,6 +255,14 @@ def test_bench_variant_and_bound_flags(capsys):
     assert rec["answer_count"] == 5
 
 
+def test_bench_left_variant(capsys):
+    assert main(["bench", "--shape", "grid", "--depth", "3", "--variant", "left", "--with-slds",
+                 "--all-configs", "--stats", "structured"]) == 0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(recs) == 8
+    assert {(r["variant"], r["with_slds"], r["answer_count"]) for r in recs} == {("left_recursive", True, 81)}
+
+
 def test_bench_all_configs_conflicts_with_flags(capsys):
     assert main(["bench", "--shape", "grid", "--depth", "3", "--all-configs", "--dra"]) == 2
 

@@ -3,14 +3,17 @@ can observe.
 
 The general loop (one answer per resumption, through ``unify`` and the
 continuation) is the specification.  Every test here runs each cell three
-times: once as the engine plans it; once with ``Engine._batch`` swapped
-for a stub that always returns None, which sends every table through the
-general loop; and once with ``TableSpace.solution_check_insert`` wrapped
-so that it clears ``frame.flat_pairs`` after every insert, so that every
-general delivery runs ``unify(call, solution_term(node))`` and no table
-batch delivers an answer.  Both references must give the planned run's
-decoded answers in order, ``EvalStats``, ``engine.steps``, event log and
-error line.  The stub and the wrapper are test fakes, not engine options.
+times: once as the engine plans it; once with ``Engine._batch`` and
+``Engine._sink`` swapped for stubs that always return None, which sends
+every table through the general loop and every fact call through its
+generator and the general insert; and once with
+``TableSpace.solution_check_insert`` and ``TableSpace.insert_pairs``
+wrapped so that they clear ``frame.flat_pairs`` after every insert, so
+that every general delivery runs ``unify(call, solution_term(node))`` and
+no table batch delivers an answer.  Both references must give the planned
+run's decoded answers in order, ``EvalStats``, ``engine.steps``, event log
+and error line.  The stubs and the wrappers are test fakes, not engine
+options.
 """
 
 import random
@@ -36,7 +39,8 @@ def differences(cases, monkeypatch):
     """Run every (label, program text, queries) case under all 8 configs:
     planned, general and without the pair path.  Returns the cell count,
     the cells whose observations differ from the planned run and the set
-    of deliveries the planned runs chose: general, table or collect."""
+    of batches and deliveries the planned runs chose: general, table,
+    collect or fact."""
     runs = []
     for label, text, queries in cases:
         program = parse_program(text)
@@ -45,6 +49,8 @@ def differences(cases, monkeypatch):
                 runs.append((f"{label} {query} {config.label}", program, query, config))
     chosen, pair_deliveries, batched = set(), [0], []
     batch, tabled, insert = Engine._batch, Engine._tabled, TableSpace.solution_check_insert
+    insert_pairs = TableSpace.insert_pairs
+    stores = {"table": 0, "all": 0}  # planned table batches and insert_pairs calls
 
     def kind_of(self, call, n):
         """How ``_batch`` delivered, from what it returned."""
@@ -52,8 +58,15 @@ def differences(cases, monkeypatch):
 
     def spy(self, frame, call, cont, sols, via):
         n = batch(self, frame, call, cont, sols, via)
-        chosen.add(kind_of(self, call, n))
+        kind = kind_of(self, call, n)
+        chosen.add(kind)
+        stores["table"] += kind == "table"
         return n
+
+    def spy_store(self, frame, a, zs):
+        # every insert_pairs call that is not a table batch's is a fact batch's
+        stores["all"] += 1
+        return insert_pairs(self, frame, a, zs)
 
     def spy_tabled(self, call, cont):
         # a general-loop delivery yields the call's own continuation; a
@@ -74,15 +87,25 @@ def differences(cases, monkeypatch):
         frame.flat_pairs = False
         return is_new
 
+    def unflat_pairs(self, frame, a, zs):
+        ch = insert_pairs(self, frame, a, zs)
+        frame.flat_pairs = False
+        return ch
+
     with monkeypatch.context() as m:
         m.setattr(Engine, "_batch", spy)
         m.setattr(Engine, "_tabled", spy_tabled)
+        m.setattr(TableSpace, "insert_pairs", spy_store)
         planned = [observe(p, q, c) for _, p, q, c in runs]
+    if stores["all"] > stores["table"]:
+        chosen.add("fact")
     with monkeypatch.context() as m:
         m.setattr(Engine, "_batch", lambda self, frame, call, cont, sols, via: None)
+        m.setattr(Engine, "_sink", lambda self, cont, cv: None)
         general = [observe(p, q, c) for _, p, q, c in runs]
     with monkeypatch.context() as m:
         m.setattr(TableSpace, "solution_check_insert", unflat)
+        m.setattr(TableSpace, "insert_pairs", unflat_pairs)
         m.setattr(Engine, "_batch", spy_unpaired)
         unpaired = [observe(p, q, c) for _, p, q, c in runs]
     assert pair_deliveries[0] > 0, "the planned runs never took the pair path"
@@ -125,14 +148,14 @@ def test_graph_cells_deliver_as_the_general_plan(monkeypatch):
     assert any("slds=True" in key for key, _, _ in graphs)
     n, diffs, chosen = differences(graphs, monkeypatch)
     assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
-    assert chosen == {"general", "table", "collect"}
+    assert chosen == {"general", "table", "collect", "fact"}
 
 
 def test_wrapped_random_programs_deliver_as_the_general_plan(monkeypatch):
     n, diffs, chosen = differences(wrapped_random_programs(), monkeypatch)
     assert n == WRAPPED_PROGRAMS * 4 * 8
     assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
-    assert chosen == {"general", "table", "collect"}
+    assert chosen == {"general", "table", "collect", "fact"}
 
 
 
@@ -153,3 +176,27 @@ def test_declined_table_batches_deliver_as_the_general_plan(monkeypatch):
     n, diffs, chosen = differences(DECLINED_BATCHES, monkeypatch)
     assert n == 8 * len(DECLINED_BATCHES)
     assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
+
+
+# fact calls that end in an insert: a duplicated fact (its second insert is
+# a dup, in the batch as on the general path), 0-ary facts between the call
+# and the insert, and heads the fact batch must decline: p(Y,Y) binds the
+# inserted answer's first argument to the fact's second, and w/3 is not a
+# binary table
+FACT_EDGES = "e(1,2).\ne(1,2).\ne(2,3).\ne(3,1).\ne(2,1).\n"
+FACT_BATCHES = [
+    ("dup", ":- table p/2.\np(X,Z) :- e(X,Z).\np(X,Z) :- p(X,Y), e(Y,Z).\n" + FACT_EDGES,
+     ("p(1,Z).", "p(X,Z).", "p(1,2).")),
+    ("zero-ary", ":- table p/2.\np(X,Z) :- e(X,Z), ok.\np(X,Z) :- p(X,Y), e(Y,Z), ok.\nok.\n" + FACT_EDGES,
+     ("p(1,Z).", "p(X,Z).", "p(1,2).")),
+    ("diagonal", ":- table p/2.\np(Y,Y) :- e(1,Y).\np(X,Z) :- p(X,Y), e(Y,Z).\n" + FACT_EDGES,
+     ("p(1,Z).", "p(X,Z).")),
+    ("parent3", ":- table w/3.\nw(a,Z,c) :- e(1,Z).\n" + FACT_EDGES, ("w(A,B,C).", "w(a,B,c).")),
+]
+
+
+def test_fact_batches_deliver_as_the_general_plan(monkeypatch):
+    n, diffs, chosen = differences(FACT_BATCHES, monkeypatch)
+    assert n == 8 * sum(len(queries) for _, _, queries in FACT_BATCHES)
+    assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
+    assert "fact" in chosen

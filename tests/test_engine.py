@@ -40,12 +40,6 @@ path(X,Z) :- edge(X,Y), path(Y,Z).
 path(X,Z) :- edge(X,Z).
 """
 
-LEFT_PATH = """
-:- table path/2.
-path(X,Z) :- path(X,Y), edge(Y,Z).
-path(X,Z) :- edge(X,Z).
-"""
-
 
 def run(text, query, config=StrategyConfig(), **kw):
     eng = Engine(parse_program(text), config, **kw)
@@ -54,8 +48,7 @@ def run(text, query, config=StrategyConfig(), **kw):
 
 
 def path_program(edges, variant="recursive_first"):
-    head = LEFT_PATH if variant == "left_recursive" else make_path_program(variant)
-    return head + edge_facts(list(edges))
+    return make_path_program(variant) + edge_facts(list(edges))
 
 
 def engine_pairs(text, query, config):

@@ -587,8 +587,7 @@ def test_rows_and_clauses_build_the_same_engine():
         assert _pred_view(Engine(parse_program(ROWS_TEXT))) == view
     assert view[edge][:3] == (
         _P_FACTS2, [(1, 2), (1, functor("a", 0)), (functor("b", 0), 3), (functor("c d", 0), 1)],
-        {1: [(1, 2), (1, functor("a", 0))], functor("b", 0): [(functor("b", 0), 3)],
-         functor("c d", 0): [(functor("c d", 0), 1)]},
+        {1: [2, functor("a", 0)], functor("b", 0): [3], functor("c d", 0): [1]},
     )
     assert view[functor("t", 2)][0] == _P_TABLED
     assert view[functor("w", 3)][0] == _P_GENERAL

@@ -95,8 +95,9 @@ def test_insert_into_complete_rejected():
 def _pairs_table_space(batch):
     """Source tables e(1,_) and e(2,_) with the answers 3, b, 5 and 5, 4, and
     a parent table p(7,_) holding p(7,4); then p(7,z) for each source answer
-    z in turn, by one ``insert_pairs`` or one ``solution_check_insert`` per
-    pair.  Returns the table space, the parent and what the inserts gave."""
+    z in turn, by one ``insert_pairs`` of the source leaves' tokens or one
+    ``solution_check_insert`` per pair.  Returns the table space, the parent
+    and what the inserts gave."""
     ts = TableSpace()
     srcs = [ts.subgoal_check_insert(s("e", a, Var())) for a in (1, 2)]
     for a, src, zs in ((1, srcs[0], [3, functor("b", 0), 5]), (2, srcs[1], [5, 4])):
@@ -106,7 +107,7 @@ def _pairs_table_space(batch):
     ts.solution_check_insert(s("p", 7, 4), parent)
     sols = srcs[0].solution_order + srcs[1].solution_order
     if batch:
-        return ts, parent, ts.insert_pairs(parent, 7, sols)
+        return ts, parent, ts.insert_pairs(parent, 7, [n.token for n in sols])
     return ts, parent, [ts.solution_check_insert(s("p", 7, n.token), parent) for n in sols]
 
 
