@@ -22,7 +22,10 @@ An answer reaches a table one insert per continuation, or in a batch step
 that counts the steps and SLD calls the general path would: the table
 batch stores a whole flat table, and the fact batch every fact a bound
 call of a binary fact predicate matches, when the continuation (past any
-0-ary facts) only stores ``f(a, Z)`` for the call's unbound ``Z``.
+0-ary facts) only stores ``f(a, Z)`` for the call's unbound ``Z``.  The
+join batch joins a flat table, delivered into a call ``f(X, Y)`` whose
+continuation calls such a predicate ``e(Y, Z)``, with ``e``'s
+first-argument index, and runs one fact batch per answer.
 
 Three optimizations combine freely:
 
@@ -330,7 +333,7 @@ class Engine:
                                 cps.append(self._seconds(zs, c1, rest))
                             else:
                                 self.steps += 1  # the fact batch: _seconds' first step
-                                self._store(sink, zs)
+                                self._store(*sink, zs)
                         cont = None
                         break
                     cps.append(self._interior(entry, pred.clauses, rest))
@@ -641,11 +644,19 @@ class Engine:
         """Deliver all of ``sols`` at once, without trail traffic, counting
         as the general loop would, and return how many there were; or return
         None when only the general loop can deliver them.  The collect batch
-        serves the query's own choice point.  The table batch needs a flat
-        source table, a call whose first argument is ground and atomic, and
-        a continuation that ``_sink`` accepts; at the first delivery, which
-        follows at once, it stores the whole table, so it never meets an
-        answer it cannot insert."""
+        serves the query's own choice point.  The table and join batches
+        need a flat source table and a continuation that ``_sink`` accepts.
+        The table batch needs a call whose first argument is ground and
+        atomic; at the first delivery, which follows at once, it stores the
+        whole table, so it never meets an answer it cannot insert.  The join
+        batch needs a call ``f(X, Y)`` of two distinct unbound variables
+        whose continuation first calls a binary fact predicate ``e(Y, Z)``,
+        ``Z`` unbound and neither of them, and then stores ``g(X, Z)`` or
+        ``g(c, Z)``; per answer ``f(a, y)`` it does what the general loop
+        and then the fact batch of ``e(y, Z)`` would.  It walks the live
+        ``sols``, so it meets the answers it adds to its own source table,
+        as the general loop does.  No tabled call runs inside it, so the
+        clock does not move and DRS marks no answer it delivers."""
         events = self.events
         if cont is _COLLECT_CELL and call is self._template:
             # the query's own choice point.  A tabled call ending a clause has
@@ -656,20 +667,50 @@ class Engine:
                     events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
             self.steps += len(sols)
             return len(sols)
-        if not frame.flat_pairs or frame.functor.arity != 2 or not _ground_atomic(deref(call.args[0])):
+        if not frame.flat_pairs or frame.functor.arity != 2:
             return None
-        sink = self._sink(cont, deref(call.args[1]))
+        x, y = deref(call.args[0]), deref(call.args[1])
+        if _ground_atomic(x):
+            sink = self._sink(cont, y)
+            if sink is None:
+                return None
+            consumed = None if events is None else [
+                f"consume g{frame.fid} {n.ordinal} via={via}" for n in sols]
+            self._store(*sink, [node.token for node in sols], consumed)
+            return len(sols)
+        entry, rest = cont
+        if type(entry) is not Struct or type(x) is not Var or type(y) is not Var or x is y:
+            return None
+        e = self.preds[entry.functor]
+        if e.kind != _P_FACTS2 or deref(entry.args[0]) is not y:
+            return None
+        z = deref(entry.args[1])
+        sink = None if z is x or z is y else self._sink(rest, z, x)
         if sink is None:
             return None
-        consumed = None if events is None else [f"consume g{frame.fid} {n.ordinal} via={via}" for n in sols]
-        self._store(sink, [node.token for node in sols], consumed)
-        return len(sols)
+        parent, a, bumps = sink
+        index = e.index
+        for node in sols:
+            if events is not None:
+                events.append(f"consume g{frame.fid} {node.ordinal} via={via}")
+            zs = index.get(node.token)
+            if zs:
+                self.steps += 1  # the fact batch
+                self._store(parent, node.parent.token if a is x else a, bumps, zs)
+        # the loop ran to the end of sols, live or not: every answer was
+        # delivered (a step) and called e (a step and an SLD call)
+        n = len(sols)
+        self.steps += 2 * n
+        sc = self.stats.sld_calls
+        sc[e.key] = sc.get(e.key, 0) + n
+        return n
 
-    def _sink(self, cont, cv):
+    def _sink(self, cont, cv, xv=None):
         """The insert a batch can make for ``cont`` when the call's second
         argument is the unbound ``cv``: past any 0-ary facts, ``cont`` must
-        store ``f(a, cv)`` in a binary table, ``a`` ground and atomic.
-        Returns (that table, ``a``, the 0-ary facts' keys), or None."""
+        store ``f(a, cv)`` in a binary table, ``a`` ground and atomic or the
+        join batch's unbound ``xv``.  Returns (that table, ``a``, the 0-ary
+        facts' keys), or None."""
         if type(cv) is not Var:
             return None
         bumps = []
@@ -685,16 +726,16 @@ class Engine:
         if type(entry) is not _NewSol or entry.frame.functor.arity != 2:
             return None
         a = deref(entry.sol.args[0])
-        if not _ground_atomic(a) or deref(entry.sol.args[1]) is not cv:
+        if not (a is xv or _ground_atomic(a)) or deref(entry.sol.args[1]) is not cv:
             return None
         return entry.frame, a, bumps
 
-    def _store(self, sink, zs, consumed=None):
-        """Store ``f(a, z)`` for each of ``zs`` through ``sink``, as found by
-        ``_sink``, counting as the general loop would: per ``z`` a step to
-        bind it, one per 0-ary fact passed and one for the insert.  A traced
-        run logs each ``z``'s insert, after its line of ``consumed`` if any."""
-        parent, a, bumps = sink
+    def _store(self, parent, a, bumps, zs, consumed=None):
+        """Store ``f(a, z)`` for each of ``zs`` in ``parent``, past the 0-ary
+        facts ``bumps``, as ``_sink`` found them, counting as the general
+        loop would: per ``z`` a step to bind it, one per 0-ary fact passed
+        and one for the insert.  A traced run logs each ``z``'s insert,
+        after its line of ``consumed`` if any."""
         o = len(parent.solution_order)
         pch = self.ts.insert_pairs(parent, a, zs)
         n = len(zs)

@@ -10,19 +10,20 @@ generator and the general insert; and once with
 ``TableSpace.solution_check_insert`` and ``TableSpace.insert_pairs``
 wrapped so that they clear ``frame.flat_pairs`` after every insert, so
 that every general delivery runs ``unify(call, solution_term(node))`` and
-no table batch delivers an answer.  Both references must give the planned
-run's decoded answers in order, ``EvalStats``, ``engine.steps``, event log
-and error line.  The stubs and the wrappers are test fakes, not engine
-options.
+no table or join batch delivers an answer.  Both references must give the
+planned run's decoded answers in order, ``EvalStats``, ``engine.steps``,
+event log and error line.  The stubs and the wrappers are test fakes, not
+engine options.
 """
 
 import random
 
-from counter_matrix import SMALL_PROGRAMS, cells, random_program, run
-from lintab.engine import ALL_CONFIGS, Engine
-from lintab.reader import parse_program
+from counter_matrix import LEFT_PROGRAM, SMALL_PROGRAMS, cells, random_program, run
+from lintab.bench import GraphConfig, edge_facts, gen_edges
+from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded
+from lintab.reader import parse_program, parse_query
 from lintab.tablespace import TableSpace
-from lintab.terms import term_to_str
+from lintab.terms import Var, deref, term_to_str
 
 WRAPPED_SEED = 7
 WRAPPED_PROGRAMS = 60
@@ -40,7 +41,7 @@ def differences(cases, monkeypatch):
     planned, general and without the pair path.  Returns the cell count,
     the cells whose observations differ from the planned run and the set
     of batches and deliveries the planned runs chose: general, table,
-    collect or fact."""
+    collect, join or fact."""
     runs = []
     for label, text, queries in cases:
         program = parse_program(text)
@@ -50,21 +51,29 @@ def differences(cases, monkeypatch):
     chosen, pair_deliveries, batched = set(), [0], []
     batch, tabled, insert = Engine._batch, Engine._tabled, TableSpace.solution_check_insert
     insert_pairs = TableSpace.insert_pairs
-    stores = {"table": 0, "all": 0}  # planned table batches and insert_pairs calls
+    stores = {"batched": 0, "all": 0}  # planned table and join batches' insert_pairs calls, and all
 
     def kind_of(self, call, n):
-        """How ``_batch`` delivered, from what it returned."""
-        return "general" if n is None else "collect" if call is self._template else "table"
+        """How ``_batch`` delivered, from what it returned and the call: a
+        table batch's call has a ground first argument, a join batch's an
+        unbound one."""
+        if n is None:
+            return "general"
+        if call is self._template:
+            return "collect"
+        return "join" if type(deref(call.args[0])) is Var else "table"
 
     def spy(self, frame, call, cont, sols, via):
+        before = stores["all"]
         n = batch(self, frame, call, cont, sols, via)
         kind = kind_of(self, call, n)
         chosen.add(kind)
-        stores["table"] += kind == "table"
+        if kind in ("table", "join"):
+            stores["batched"] += stores["all"] - before
         return n
 
     def spy_store(self, frame, a, zs):
-        # every insert_pairs call that is not a table batch's is a fact batch's
+        # every insert_pairs call outside a table or join batch is a fact batch's
         stores["all"] += 1
         return insert_pairs(self, frame, a, zs)
 
@@ -78,7 +87,7 @@ def differences(cases, monkeypatch):
 
     def spy_unpaired(self, frame, call, cont, sols, via):
         n = batch(self, frame, call, cont, sols, via)
-        if kind_of(self, call, n) == "table":
+        if kind_of(self, call, n) in ("table", "join"):
             batched.append(n)
         return n
 
@@ -97,7 +106,7 @@ def differences(cases, monkeypatch):
         m.setattr(Engine, "_tabled", spy_tabled)
         m.setattr(TableSpace, "insert_pairs", spy_store)
         planned = [observe(p, q, c) for _, p, q, c in runs]
-    if stores["all"] > stores["table"]:
+    if stores["all"] > stores["batched"]:
         chosen.add("fact")
     with monkeypatch.context() as m:
         m.setattr(Engine, "_batch", lambda self, frame, call, cont, sols, via: None)
@@ -109,7 +118,7 @@ def differences(cases, monkeypatch):
         m.setattr(Engine, "_batch", spy_unpaired)
         unpaired = [observe(p, q, c) for _, p, q, c in runs]
     assert pair_deliveries[0] > 0, "the planned runs never took the pair path"
-    assert not any(batched), "a table batch delivered answers without the pair path"
+    assert not any(batched), "a table or join batch delivered answers without the pair path"
     fields = ("answers", "stats", "steps", "events", "error")
     diffs = []
     for ref, observed in (("general", general), ("unpaired", unpaired)):
@@ -148,7 +157,7 @@ def test_graph_cells_deliver_as_the_general_plan(monkeypatch):
     assert any("slds=True" in key for key, _, _ in graphs)
     n, diffs, chosen = differences(graphs, monkeypatch)
     assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
-    assert chosen == {"general", "table", "collect", "fact"}
+    assert chosen == {"general", "table", "collect", "fact", "join"}
 
 
 def test_wrapped_random_programs_deliver_as_the_general_plan(monkeypatch):
@@ -200,3 +209,67 @@ def test_fact_batches_deliver_as_the_general_plan(monkeypatch):
     assert n == 8 * sum(len(queries) for _, _, queries in FACT_BATCHES)
     assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
     assert "fact" in chosen
+
+
+# tabled calls f(X,Y) whose continuation calls e(Y,Z) and then inserts, over
+# edges with a duplicated fact: into another table (q/2) or the source's
+# own, through 0-ary facts, under a constant key, and from a non-leader
+# generator (p/2 under q/2) that consumes its own table and hands it on
+# through the join.  Then shapes the join batch must decline: a 0-ary rule
+# before the insert, e(Y,Y), a p(X,X) call, a q(Y,Z) head (its key is not
+# the call's X) and a source table that a compound answer makes non-flat
+# after the batch has run once.
+JOIN_EDGES = "e(1,2).\ne(1,2).\ne(2,3).\ne(3,1).\ne(2,1).\ne(3,3).\n"
+JOIN_BATCHES = [
+    ("other-sink", ":- table p/2.\n:- table q/2.\np(X,Z) :- e(X,Z).\np(X,Z) :- p(X,Y), e(Y,Z).\n"
+     "q(X,Z) :- p(X,Y), e(Y,Z).\n" + JOIN_EDGES, ("q(X,Z).", "q(1,Z).", "q(X,3).")),
+    ("self-sink", ":- table p/2.\np(X,Z) :- e(X,Z).\np(X,Z) :- p(X,Y), e(Y,Z).\n" + JOIN_EDGES,
+     ("p(X,Z).", "p(X,1).", "p(A,B), p(B,A).")),
+    ("zero-ary", ":- table p/2.\np(X,Z) :- p(X,Y), e(Y,Z), ok, ok.\np(X,Z) :- e(X,Z).\nok.\n" + JOIN_EDGES,
+     ("p(X,Z).",)),
+    ("constant-key", ":- table p/2.\n:- table q/2.\np(X,Z) :- e(X,Z).\nq(c,Z) :- p(X,Y), e(Y,Z).\n"
+     + JOIN_EDGES, ("q(A,Z).",)),
+    ("non-leader", ":- table p/2.\n:- table q/2.\nq(X,Z) :- p(X,Y), e(Y,Z).\nq(X,Z) :- e(X,Z).\n"
+     "p(X,Z) :- q(X,Z).\np(X,Z) :- p(X,Y), e(Y,Z).\n" + JOIN_EDGES, ("q(X,Z).", "p(X,Z).")),
+    ("rule0", ":- table p/2.\np(X,Z) :- p(X,Y), e(Y,Z), ok.\np(X,Z) :- e(X,Z).\nok :- e(1,2).\n" + JOIN_EDGES,
+     ("p(X,Z).",)),
+    ("loop-edge", ":- table p/2.\np(X,Z) :- e(X,Z).\np(X,Y) :- p(X,Y), e(Y,Y).\n" + JOIN_EDGES, ("p(X,Z).",)),
+    ("diagonal-call", ":- table p/2.\n:- table q/2.\np(X,Z) :- e(X,Z).\nq(X,Z) :- p(X,X), e(X,Z).\n"
+     + JOIN_EDGES, ("q(X,Z).",)),
+    ("key-y", ":- table p/2.\n:- table q/2.\np(X,Z) :- e(X,Z).\nq(Y,Z) :- p(X,Y), e(Y,Z).\n" + JOIN_EDGES,
+     ("q(X,Z).",)),
+    ("non-flat", ":- table p/2.\np(X,Z) :- e(X,Z).\np(X,Z) :- p(X,Y), e(Y,Z).\np(X,f(Y)) :- e(X,Y).\n"
+     + JOIN_EDGES, ("p(X,Z).",)),
+]
+
+
+def test_join_batches_deliver_as_the_general_plan(monkeypatch):
+    n, diffs, chosen = differences(JOIN_BATCHES, monkeypatch)
+    assert n == 8 * sum(len(queries) for _, _, queries in JOIN_BATCHES)
+    assert diffs == [], f"{len(diffs)} of {n} cells differ, first: {diffs[:5]}"
+    assert "join" in chosen
+
+
+def test_join_batch_meets_the_step_budget_as_the_general_loop(monkeypatch):
+    """Left-recursive path/2 on cycle-5 under every budget from 0 to one
+    past the steps it takes: the planned run and one without batches both
+    raise the same error, or give the same answers and counters."""
+    program = parse_program(LEFT_PROGRAM + edge_facts(gen_edges(GraphConfig("cycle", 5))))
+    query = parse_query("path(X,Z).")
+
+    def outcome(config, budget):
+        eng = Engine(program, config, step_budget=budget)
+        try:
+            raw, stats = eng.run_query(query)
+        except StepBudgetExceeded as exc:
+            return str(exc)
+        return [term_to_str(a) for a in eng.answers(raw)], stats.as_dict(), eng.steps
+
+    for config in ALL_CONFIGS:
+        _, _, steps = outcome(config, 10**9)
+        planned = [outcome(config, b) for b in range(steps + 2)]
+        with monkeypatch.context() as m:
+            m.setattr(Engine, "_batch", lambda self, frame, call, cont, sols, via: None)
+            general = [outcome(config, b) for b in range(steps + 2)]
+        assert planned == general, config.label
+        assert type(planned[steps]) is str and type(planned[steps + 1]) is tuple
