@@ -25,7 +25,6 @@ from .tablespace import TablingInvariantError
 from .terms import Trail, term_to_str, unify
 
 _VARIANTS = {"first": "recursive_first", "last": "recursive_last", "left": "left_recursive"}
-_VARIANTS.update({v: v for v in _VARIANTS.values()})  # the full names too
 
 
 def _add_strategy_flags(p: argparse.ArgumentParser) -> None:

@@ -151,7 +151,7 @@ class _Pred:
         self.facts = None
         if tabled:
             self.kind = _P_TABLED
-        elif len(clauses) == 1 and f.arity == 0 and not clauses[0].body:
+        elif len(clauses) == 1 and f.arity == 0 and (type(clauses) is Rows or not clauses[0].body):
             self.kind = _P_FACT0
         elif type(clauses) is Rows and f.arity == 2:
             self.kind = _P_FACTS2
@@ -539,27 +539,7 @@ class Engine:
             window = self.config.drs and kind != "consumer" and frame.stack_depth is not None
             for node in sols:
                 trail.undo_to(mark)
-                if frame.flat_pairs:
-                    # every stored answer is f(a, b) with a and b atomic: bind
-                    # or compare the call's arguments, a at the leaf's parent,
-                    # b at it
-                    c0, c1 = call.args
-                    x, a = deref(c0), node.parent.token
-                    if type(x) is Var:
-                        x.ref = a
-                        trail.append(x)
-                        ok = True
-                    else:
-                        ok = x == a
-                    x, b = deref(c1), node.token
-                    if type(x) is Var:
-                        x.ref = b
-                        trail.append(x)
-                    else:
-                        ok = ok and x == b
-                else:
-                    ok = unify(call, solution_term(node), trail)
-                if not ok:
+                if not unify(call, solution_term(node), trail):
                     raise TablingInvariantError(
                         f"answer {node.ordinal} of g{frame.fid} does not unify with its call"
                     )

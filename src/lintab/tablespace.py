@@ -13,9 +13,9 @@ as it derefs the term.  Nodes keep a parent pointer instead of the term,
 which matters at millions of stored solutions: ``solution_term`` rebuilds
 a term from its terminal.
 A flat pair ``f(a, b)``, ``a`` and ``b`` atomic, is inserted by two ``child``
-lookups (a table batch's pairs, all under one ``a``, by ``insert_pairs``),
-delivered from its last two tokens and rebuilt from its last three nodes,
-with no stream walk; every other answer walks its stream.
+lookups (a table batch's pairs, all under one ``a``, by ``insert_pairs``)
+and rebuilt from its last three nodes, with no stream walk; every other
+answer walks its stream.
 When a table space dies it unlinks its tries (``TableSpace.__del__``), so
 they are freed by reference counting rather than by the cyclic collector.
 """
@@ -187,7 +187,7 @@ class SubgoalFrame:
         self.stack_depth: Optional[int] = None  # set while on the generator stack
         self.push_stamp = 0
         # true while every stored solution is a flat pair f(a, b), a and b
-        # atomic: deliveries and table batches read its last two tokens
+        # atomic: only then may a table or join batch deliver the table
         self.flat_pairs = True
 
     def set_state(self, new: str) -> None:

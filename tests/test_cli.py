@@ -255,6 +255,12 @@ def test_bench_variant_and_bound_flags(capsys):
     assert rec["answer_count"] == 5
 
 
+def test_bench_variant_takes_only_the_short_names(capsys):
+    # the program names the records carry are not --variant spellings
+    assert main(["bench", "--shape", "cycle", "--depth", "5", "--variant", "recursive_last"]) == 2
+    assert "invalid choice: 'recursive_last'" in capsys.readouterr().err
+
+
 def test_bench_left_variant(capsys):
     assert main(["bench", "--shape", "grid", "--depth", "3", "--variant", "left", "--with-slds",
                  "--all-configs", "--stats", "structured"]) == 0

@@ -1,19 +1,17 @@
-"""The batch deliveries and the flat-pair path are optimisations nobody
-can observe.
+"""The batch deliveries are optimisations nobody can observe.
 
-The general loop (one answer per resumption, through ``unify`` and the
-continuation) is the specification.  Every test here runs each cell three
-times: once as the engine plans it; once with ``Engine._batch`` and
-``Engine._sink`` swapped for stubs that always return None, which sends
-every table through the general loop and every fact call through its
-generator and the general insert; and once with
-``TableSpace.solution_check_insert`` and ``TableSpace.insert_pairs``
+The general loop (one answer per resumption: ``unify`` the call with
+``solution_term(node)``, then run the continuation) is the specification.
+Every test here runs each cell three times: once as the engine plans it;
+once with ``Engine._batch`` and ``Engine._sink`` swapped for stubs that
+always return None, which sends every table through the general loop and
+every fact call through its generator and the general insert; and once
+with ``TableSpace.solution_check_insert`` and ``TableSpace.insert_pairs``
 wrapped so that they clear ``frame.flat_pairs`` after every insert, so
-that every general delivery runs ``unify(call, solution_term(node))`` and
-no table or join batch delivers an answer.  Both references must give the
-planned run's decoded answers in order, ``EvalStats``, ``engine.steps``,
-event log and error line.  The stubs and the wrappers are test fakes, not
-engine options.
+that no table or join batch delivers an answer (``flat_pairs`` gates only
+those two).  Both references must give the planned run's decoded answers
+in order, ``EvalStats``, ``engine.steps``, event log and error line.  The
+stubs and the wrappers are test fakes, not engine options.
 """
 
 import random
@@ -38,18 +36,18 @@ def observe(program, query, config):
 
 def differences(cases, monkeypatch):
     """Run every (label, program text, queries) case under all 8 configs:
-    planned, general and without the pair path.  Returns the cell count,
-    the cells whose observations differ from the planned run and the set
-    of batches and deliveries the planned runs chose: general, table,
-    collect, join or fact."""
+    planned, general and unpaired (no table or join batch).  Returns the
+    cell count, the cells whose observations differ from the planned run
+    and the set of batches and deliveries the planned runs chose: general,
+    table, collect, join or fact."""
     runs = []
     for label, text, queries in cases:
         program = parse_program(text)
         for query in queries:
             for config in ALL_CONFIGS:
                 runs.append((f"{label} {query} {config.label}", program, query, config))
-    chosen, pair_deliveries, batched = set(), [0], []
-    batch, tabled, insert = Engine._batch, Engine._tabled, TableSpace.solution_check_insert
+    chosen, batched = set(), []
+    batch, insert = Engine._batch, TableSpace.solution_check_insert
     insert_pairs = TableSpace.insert_pairs
     stores = {"batched": 0, "all": 0}  # planned table and join batches' insert_pairs calls, and all
 
@@ -77,14 +75,6 @@ def differences(cases, monkeypatch):
         stores["all"] += 1
         return insert_pairs(self, frame, a, zs)
 
-    def spy_tabled(self, call, cont):
-        # a general-loop delivery yields the call's own continuation; a
-        # clause yields its body, which ends in the frame's insert
-        gen = tabled(self, call, cont)
-        for body in gen:
-            pair_deliveries[0] += body is cont and gen.gi_frame.f_locals["frame"].flat_pairs
-            yield body
-
     def spy_unpaired(self, frame, call, cont, sols, via):
         n = batch(self, frame, call, cont, sols, via)
         if kind_of(self, call, n) in ("table", "join"):
@@ -103,7 +93,6 @@ def differences(cases, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(Engine, "_batch", spy)
-        m.setattr(Engine, "_tabled", spy_tabled)
         m.setattr(TableSpace, "insert_pairs", spy_store)
         planned = [observe(p, q, c) for _, p, q, c in runs]
     if stores["all"] > stores["batched"]:
@@ -117,7 +106,6 @@ def differences(cases, monkeypatch):
         m.setattr(TableSpace, "insert_pairs", unflat_pairs)
         m.setattr(Engine, "_batch", spy_unpaired)
         unpaired = [observe(p, q, c) for _, p, q, c in runs]
-    assert pair_deliveries[0] > 0, "the planned runs never took the pair path"
     assert not any(batched), "a table or join batch delivered answers without the pair path"
     fields = ("answers", "stats", "steps", "events", "error")
     diffs = []

@@ -19,8 +19,8 @@ from lintab import engine as engine_module
 from lintab.bench import gen_edges, GraphConfig, make_path_program, edge_facts, oracle_reachability
 from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded, StrategyConfig, solve
 from lintab.reader import parse_program, parse_query
-from lintab.tablespace import TablingInvariantError
-from lintab.terms import term_to_str
+from lintab.tablespace import TableSpace, TablingInvariantError
+from lintab.terms import Struct, deref, term_to_str
 from test_delivery_plans import observe
 from test_reader import ROWS_TEXT, _clause_program
 
@@ -111,6 +111,25 @@ def test_plain_run_checks_the_dra_loop_round(monkeypatch):
     eng = Engine(parse_program(MUTUAL), StrategyConfig(dra=True))
     with pytest.raises(TablingInvariantError, match="^loop round ran non-looping clause 1$"):
         eng.run_query(parse_query("a(X)."))
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.label)
+def test_general_delivery_checks_the_answer_unifies_with_its_call(config, monkeypatch):
+    # a fault that stores p(2,2) for p(1,2) is caught when the general loop
+    # delivers it into the inner call p(1,Y): its continuation is the
+    # query's, but it is not the query's own call, so no collect batch runs
+    insert = TableSpace.solution_check_insert
+
+    def shifted(self, sol, frame):
+        a, b = (deref(x) for x in sol.args)
+        return insert(self, Struct(sol.functor, (a + 1, b)), frame)
+
+    monkeypatch.setattr(TableSpace, "solution_check_insert", shifted)
+    eng = Engine(parse_program(":- table p/2.\np(1,2).\ne(1,5).\nq(X,Y) :- e(X,W), p(X,Y).\n"), config)
+    goals = parse_query("q(X,Y).")
+    with pytest.raises(TablingInvariantError, match="^answer 0 of g0 does not unify with its call$"):
+        eng.run_query(goals)
+    assert term_to_str(goals[0]) == "q(X,Y)"
 
 
 def test_re_evaluation_rounds_standard_vs_dre():
@@ -555,7 +574,7 @@ def test_double_recursion_through_a_second_table(config):
 
 # A run that raises TablingInvariantError: frame p(2,2) is left incomplete at
 # exit under these configurations (the least-model cell seed 6 #2818).  Once
-# ROADMAP item 2 mends it, the tests that use it need another raising input.
+# ROADMAP item 1 mends it, the tests that use it need another raising input.
 RAISES = """
 :- table p/2.
 p(W,X) :- p(Y,X), p(W,W).

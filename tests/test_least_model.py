@@ -4,10 +4,11 @@ model that shares no code with the engine (``scripts/least_model.py``).
 The counter matrix's random block (seed 2, 300 programs, all 8
 configurations) must fail in exactly the cells recorded here, none since
 dependency events carry the lowlink, so a new failure fails the test.
-ROADMAP item 1's repros are checked against the least model under all 8
-configurations.  The 9 cells still failing on seeds 4-7 are strict xfails
-until ROADMAP item 2 mends them.  ``scripts/least_model_check.py`` runs
-the same check over 24,000 cells a seed.
+The repros of unsound DRA and DRS that an earlier roadmap listed are
+checked against the least model under all 8 configurations.  The 9 cells
+still failing on seeds 4-7 are strict xfails until ROADMAP item 1 mends
+them.  ``scripts/least_model_check.py`` runs the same check over 24,000
+cells a seed.
 """
 
 import pytest
@@ -45,9 +46,10 @@ def test_random_programs_fail_only_in_the_recorded_cells():
 
 # The program, the query, and each failing configuration with the exception
 # its cell raises (AssertionError: the answers differ from the least model).
-# ROADMAP item 1's repros fail nowhere since dependency events carry the
-# lowlink; the cells named by seed and index, as
-# counter_matrix.random_program generates them, still fail under DRS.
+# The repros of unsound DRA and DRS that an earlier roadmap listed fail
+# nowhere since dependency events carry the lowlink; the cells named by
+# seed and index, as counter_matrix.random_program generates them, still
+# fail under DRS.
 REPROS = {
     "repro_a": (
         ":- table p/2.\n:- table q/2.\np(X,Z) :- q(Y,Z), p(X,X).\np(Y,Z) :- q(Z,Y).\n"
@@ -112,7 +114,7 @@ def repro_cells():
         for config in ALL_CONFIGS:
             raises = failing.get(config.label)
             marks = () if raises is None else pytest.mark.xfail(
-                strict=True, raises=raises, reason="DRS decides per frame what was handed on (ROADMAP item 2)")
+                strict=True, raises=raises, reason="DRS decides per frame what was handed on (ROADMAP item 1)")
             yield pytest.param(name, config, marks=marks, id=f"{name}-{config.label}")
 
 

@@ -543,8 +543,9 @@ def _pred_view(engine):
     }
 
 
-# fact predicates whose engine entries resolve clauses, with no 0-ary fact:
-# ternary rows, and binary rows that are tabled
+# fact predicates whose engine entries resolve clauses: ternary rows, and
+# binary rows that are tabled; and a 0-ary fact, whose entry resolves none
+FACT0_TEXT = "go.\nq :- go.\n"
 ARITY3_TEXT = ":- table path/2.\npath(X,Y) :- edge(X,Y,_).\n" + "".join(
     f"edge({i},{i + 1},1).\nedge({i},{2 * i},b).\n" for i in range(40)
 )
@@ -556,7 +557,7 @@ def _printed_heads(engine):
 
 
 def test_rows_and_clauses_build_the_same_engine():
-    for text in (ARITY3_TEXT, TABLED_FACTS_TEXT):
+    for text in (ARITY3_TEXT, TABLED_FACTS_TEXT, FACT0_TEXT):
         prog = parse_program(text)
         assert any(type(cs) is Rows for cs in prog.predicates.values())
         fact_clause, calls = reader._fact_clause, []
