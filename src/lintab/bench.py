@@ -22,6 +22,7 @@ from .engine import (
     EvalStats,
     StepBudgetExceeded,
     StrategyConfig,
+    _collector_paused,
 )
 from .reader import parse_program, parse_query
 
@@ -245,27 +246,34 @@ def run_matrix(spec: BenchSpec) -> BenchReport:
     query = parse_query("path(1,Z)." if spec.bound else "path(X,Z).")
     report = BenchReport(spec=spec, oracle_count=len(expected))
     for config in spec.configs:
-        engine = Engine(program, config, step_budget=spec.step_budget)
-        t0 = time.perf_counter()
-        try:
-            raw, stats = engine.run_query(query)
-        except StepBudgetExceeded as exc:
-            report.cells.append(
-                BenchCell(config, None, None, (time.perf_counter() - t0) * 1000.0, error=str(exc))
-            )
-            continue
-        wall = (time.perf_counter() - t0) * 1000.0
-        answers = engine.answers(raw)
-        # free the tables now: the answer-pair sets below allocate enough to
-        # trigger collections, which would walk every live trie node
-        del engine, raw
-        got = {(t.args[0], t.args[1]) for t in answers}
-        # a duplicated answer is as wrong as a missing one
-        if len(got) != len(answers) or got != expected:
-            raise RuntimeError(
-                f"answer set mismatch vs oracle: shape={spec.graph.shape} depth={spec.graph.depth} "
-                f"variant={spec.variant} config={config.label} "
-                f"got {len(got)} pairs in {len(answers)} answers, expected {len(expected)}"
-            )
-        report.cells.append(BenchCell(config, stats, len(got), wall))
+        # one collector pause per cell, which frees the cell's tables and
+        # rows before it ends: the cell makes no cyclic garbage, so a
+        # collection would only walk them
+        with _collector_paused():
+            report.cells.append(_run_cell(spec, program, query, expected, config))
     return report
+
+
+def _run_cell(spec: BenchSpec, program, query, expected, config: StrategyConfig) -> BenchCell:
+    """One strategy's cell: a fresh engine's run, its answer rows checked
+    against ``expected``."""
+    engine = Engine(program, config, step_budget=spec.step_budget)
+    t0 = time.perf_counter()
+    try:
+        raw, stats = engine.run_query(query)
+    except StepBudgetExceeded as exc:
+        return BenchCell(config, None, None, (time.perf_counter() - t0) * 1000.0, error=str(exc))
+    wall = (time.perf_counter() - t0) * 1000.0
+    rows = engine.answer_rows(raw)
+    # free the tables before the answer set is built, so the cell's peak
+    # memory holds one of them, not both
+    del engine, raw
+    got = set(rows)
+    # a duplicated answer is as wrong as a missing one
+    if len(got) != len(rows) or got != expected:
+        raise RuntimeError(
+            f"answer set mismatch vs oracle: shape={spec.graph.shape} depth={spec.graph.depth} "
+            f"variant={spec.variant} config={config.label} "
+            f"got {len(got)} pairs in {len(rows)} answers, expected {len(expected)}"
+        )
+    return BenchCell(config, stats, len(got), wall)

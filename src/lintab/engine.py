@@ -20,7 +20,8 @@ repeated call.
 
 An answer reaches a table one insert per continuation, or in a batch step
 that counts the steps and SLD calls the general path would: the table
-batch stores a whole flat table, and the fact batch every fact a bound
+batch stores a whole flat table (a caller's table that holds it already
+takes one set test), and the fact batch every fact a bound
 call of a binary fact predicate matches, when the continuation (past any
 0-ary facts) only stores ``f(a, Z)`` for the call's unbound ``Z``.  The
 join batch joins a flat table, delivered into a call ``f(X, Y)`` whose
@@ -295,6 +296,25 @@ class Engine:
     def answers(self, raw) -> list:
         with _collector_paused():
             return [solution_term(a) if type(a) is TrieNode else a for a in raw]
+
+    def answer_rows(self, raw) -> list[tuple]:
+        """Each answer's argument tuple, ``()`` for an atom: the ``args`` of
+        the term ``answers`` gives for it.  A flat pair's row is read off its
+        last two trie nodes, with no term built."""
+        rows = []
+        with _collector_paused():
+            for a in raw:
+                if type(a) is TrieNode:
+                    p = a.parent
+                    top = p and p.parent
+                    if top and top.parent and top.parent.parent is None:  # solution_term's test
+                        f, x, y = top.token, p.token, a.token
+                        if type(f) is Functor and f.arity == 2 and type(x) is not tuple and type(y) is not tuple:
+                            rows.append((x, y))
+                            continue
+                    a = solution_term(a)
+                rows.append(a.args if type(a) is Struct else ())
+        return rows
 
     # -- the machine ------------------------------------------------------
 
@@ -656,7 +676,13 @@ class Engine:
                 return None
             consumed = None if events is None else [
                 f"consume g{frame.fid} {n.ordinal} via={via}" for n in sols]
-            self._store(*sink, [node.token for node in sols], consumed)
+            if sols is frame.solution_order and sols:
+                # the whole table of f(x, Y): the keys of x's node, already in
+                # ordinal order, which insert_pairs can test as a set
+                zs = frame.sol_func_node.children[x].children.keys()
+            else:
+                zs = [node.token for node in sols]
+            self._store(*sink, zs, consumed)
             return len(sols)
         entry, rest = cont
         if type(entry) is not Struct or type(x) is not Var or type(y) is not Var or x is y:

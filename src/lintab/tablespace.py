@@ -250,13 +250,17 @@ class TableSpace:
     def insert_pairs(self, frame: SubgoalFrame, a, zs) -> dict:
         """Store ``f(a, z)`` in ``frame``'s table for each atomic ``z`` of
         ``zs``, in order, each new one once; return the children of ``a``'s
-        node, ``z`` -> its leaf."""
+        node, ``z`` -> its leaf.  ``zs`` is a list, or the key view of a
+        source table's node (a table batch); a view that ``a``'s node already
+        holds, its own included, stores nothing and is not walked."""
         if frame.state == COMPLETE:
             raise TablingInvariantError("insert into complete table")
         node = child(frame.sol_func_node, a)
         ch = node.children
         if ch is None:
             ch = node.children = {}
+        if type(zs) is not list and ch.keys() >= zs:
+            return ch
         order = frame.solution_order
         for z in zs:
             if z not in ch:

@@ -1,5 +1,6 @@
 """Benchmark harness tests: generators, oracle, program templates, matrix."""
 
+import gc
 import json
 
 import pytest
@@ -152,11 +153,35 @@ def test_matrix_left_recursion_matches_the_oracle(slds):
 
 
 def test_matrix_rejects_duplicated_answers(monkeypatch):
-    answers = Engine.answers
-    monkeypatch.setattr(Engine, "answers", lambda self, raw: answers(self, raw) * 2)
+    answer_rows = Engine.answer_rows
+    monkeypatch.setattr(Engine, "answer_rows", lambda self, raw: answer_rows(self, raw) * 2)
     spec = BenchSpec(GraphConfig("grid", 3), configs=(StrategyConfig(),))
     with pytest.raises(RuntimeError, match="^answer set mismatch .* got 81 pairs in 162 answers"):
         run_matrix(spec)
+
+
+def test_matrix_pauses_the_collector_over_each_cell(collector, monkeypatch):
+    seen = []
+    run_query = Engine.run_query
+
+    def spy(self, goals):
+        seen.append(gc.isenabled())
+        return run_query(self, goals)
+
+    monkeypatch.setattr(Engine, "run_query", spy)
+    report = run_matrix(BenchSpec(GraphConfig("grid", 3)))
+    assert [c.answer_count for c in report.cells] == [81] * 8
+    assert seen == [False] * 8
+    assert gc.isenabled() is collector
+
+
+def test_matrix_restores_the_collector_after_a_mismatch(collector, monkeypatch):
+    answer_rows = Engine.answer_rows
+    monkeypatch.setattr(Engine, "answer_rows", lambda self, raw: answer_rows(self, raw)[1:])
+    spec = BenchSpec(GraphConfig("grid", 3), configs=(StrategyConfig(),))
+    with pytest.raises(RuntimeError, match="^answer set mismatch .* got 80 pairs in 80 answers"):
+        run_matrix(spec)
+    assert gc.isenabled() is collector
 
 
 def test_matrix_pyramid_no_reevaluation_rounds():

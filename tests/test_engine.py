@@ -14,15 +14,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from counter_matrix import random_program
+from counter_matrix import SMALL_PROGRAMS, random_program
 from lintab import engine as engine_module
 from lintab.bench import gen_edges, GraphConfig, make_path_program, edge_facts, oracle_reachability
 from lintab.engine import ALL_CONFIGS, Engine, StepBudgetExceeded, StrategyConfig, solve
 from lintab.reader import parse_program, parse_query
 from lintab.tablespace import TableSpace, TablingInvariantError
-from lintab.terms import Struct, deref, term_to_str
+from lintab.terms import Struct, Var, deref, functor, term_to_str
 from test_delivery_plans import observe
 from test_reader import ROWS_TEXT, _clause_program
+from test_terms import term_tokens
 
 MUTUAL = """
 :- table a/1.
@@ -587,16 +588,73 @@ RAISES_QUERY = "p(Y,4)."
 RAISES_CONFIGS = [StrategyConfig(drs=True), StrategyConfig(dra=True, drs=True)]
 
 
+# -- answers as argument rows --------------------------------------------------
+
+
+def row_tokens(row):
+    """A row's token stream with its variables numbered across the whole
+    row: two rows give the same stream iff they are variants, a variable
+    shared between or inside their arguments included."""
+    return term_tokens(Struct(functor("row", len(row)), row)) if row else ()
+
+
+def rows_as_answers_give(eng, raw):
+    """Assert that ``answer_rows`` gives the ``args`` of each term
+    ``answers`` gives, ``()`` for an atom; return the rows."""
+    rows = eng.answer_rows(raw)
+    want = [t.args if type(t) is Struct else () for t in eng.answers(raw)]
+    assert [row_tokens(r) for r in rows] == [row_tokens(w) for w in want]
+    return rows
+
+
+ROW_GRAPHS = [("pyramid", range(2, 6)), ("cycle", range(2, 6)), ("grid", range(2, 5))]
+# path/2 over edge(1,2), edge(2,1) and edge(2,g(Q,Q)): one answer of path(1,Z)
+# is compound, with a variable twice in it
+NONFLAT = {name: text for name, text, _ in SMALL_PROGRAMS}["nonflat_answer"]
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.label)
+def test_answer_rows_are_the_args_of_the_answers_on_the_graphs(config):
+    for shape, depths in ROW_GRAPHS:
+        for depth in depths:
+            facts = edge_facts(gen_edges(GraphConfig(shape, depth)))
+            for variant in ("recursive_first", "recursive_last", "left_recursive"):
+                for slds in (False, True):
+                    program = parse_program(make_path_program(variant, slds) + facts)
+                    for query in ("path(X,Z).", "path(1,Z)."):
+                        eng = Engine(program, config)
+                        raw, _ = eng.run_query(parse_query(query))
+                        rows = rows_as_answers_give(eng, raw)
+                        assert all(type(a) is int and type(b) is int for a, b in rows)
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.label)
+def test_answer_rows_are_the_args_of_the_answers_on_the_general_loop(config):
+    # compound answers, a 0-ary tabled predicate, a conjunction query and
+    # answers with unbound variables, some shared inside one answer
+    shared = 0
+    for _, text, queries in SMALL_PROGRAMS:
+        program = parse_program(text)
+        for query in queries:
+            eng = Engine(program, config)
+            raw, _ = eng.run_query(parse_query(query))
+            for row in rows_as_answers_give(eng, raw):
+                toks = [t for t in row_tokens(row) if type(t) is tuple]
+                shared += len(toks) > len(set(toks))
+    # path(2, g(Q, Q)): one Var, twice in the row
+    assert shared
+
+
+def test_answer_rows_of_a_shared_variable_is_one_var():
+    eng = Engine(parse_program(NONFLAT))
+    raw, _ = eng.run_query(parse_query("path(1,Z)."))
+    rows = eng.answer_rows(raw)
+    (g,) = [z for _, z in rows if type(z) is Struct]
+    assert term_to_str(g).startswith("g(") and type(g.args[0]) is Var and g.args[0] is g.args[1]
+    assert sorted(r for r in rows if type(r[1]) is int) == [(1, 1), (1, 2)]
+
+
 # -- the cyclic collector ------------------------------------------------------
-
-
-@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
-def collector(request):
-    """Set the collector on or off for the test, and put it back after."""
-    was = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was else gc.disable)()
 
 
 def test_run_query_and_answers_pause_and_restore_the_collector(collector, monkeypatch):
@@ -619,6 +677,22 @@ def test_run_query_and_answers_pause_and_restore_the_collector(collector, monkey
     assert len(eng.answers(raw)) == 81
     assert gc.isenabled() is collector
     assert seen == [("run", False)] + [("decode", False)] * 81
+
+
+def test_answer_rows_pause_and_restore_the_collector(collector, monkeypatch):
+    seen = []
+    real_decode = engine_module.solution_term
+
+    def decode_spy(node):
+        seen.append(gc.isenabled())
+        return real_decode(node)
+
+    eng = Engine(parse_program(NONFLAT))
+    raw, _ = eng.run_query(parse_query("path(1,Z)."))
+    monkeypatch.setattr(engine_module, "solution_term", decode_spy)
+    assert len(eng.answer_rows(raw)) == 3
+    assert gc.isenabled() is collector
+    assert seen == [False]  # only the non-flat answer is decoded
 
 
 def test_a_run_that_raises_restores_the_collector(collector):

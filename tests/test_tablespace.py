@@ -124,6 +124,63 @@ def test_insert_pairs_stores_a_batch_as_one_insert_per_pair():
     assert dump(ts) == dump(one_by_one)
 
 
+def _source_keys(ts, a, zs):
+    """A source table e(a, _) holding e(a, z) for each of ``zs``, and the key
+    view of its ``a`` node, which a table batch passes to ``insert_pairs``."""
+    src = ts.subgoal_check_insert(s("e", a, Var()))
+    for z in zs:
+        ts.solution_check_insert(s("e", a, z), src)
+    return src, src.sol_func_node.children[a].children.keys()
+
+
+def _leaves(frame):
+    return [(n.token, n.ordinal) for n in frame.solution_order]
+
+
+def test_insert_pairs_of_a_key_view_already_held_stores_nothing():
+    ts = TableSpace()
+    _, keys = _source_keys(ts, 1, [3, 5, 4])
+    parent = ts.subgoal_check_insert(s("p", 7, Var()))
+    for z in (4, 9, 5, 3):
+        ts.solution_check_insert(s("p", 7, z), parent)
+    children = ts.insert_pairs(parent, 7, keys)
+    assert _leaves(parent) == [(4, 0), (9, 1), (5, 2), (3, 3)]
+    assert children is parent.sol_func_node.children[7].children
+    # a table delivered into its own call: the view is the target's own keys
+    src, own = _source_keys(ts, 2, [6, 1])
+    assert ts.insert_pairs(src, 2, own) is src.sol_func_node.children[2].children
+    assert _leaves(src) == [(6, 0), (1, 1)]
+
+
+def test_insert_pairs_of_a_key_view_partly_held_stores_the_rest_in_view_order():
+    ts = TableSpace()
+    _, keys = _source_keys(ts, 1, [3, 5, functor("b", 0), 4, 8])
+    parent = ts.subgoal_check_insert(s("p", 7, Var()))
+    ts.solution_check_insert(s("p", 7, 5), parent)
+    ts.solution_check_insert(s("p", 7, 4), parent)
+    children = ts.insert_pairs(parent, 7, keys)
+    assert _leaves(parent) == [(5, 0), (4, 1), (3, 2), (functor("b", 0), 3), (8, 4)]
+    assert children == {n.token: n for n in parent.solution_order}
+    assert parent.flat_pairs
+    # the source's tokens as a list store the same table
+    listed = TableSpace()
+    _, keys = _source_keys(listed, 1, [3, 5, functor("b", 0), 4, 8])
+    other = listed.subgoal_check_insert(s("p", 7, Var()))
+    listed.solution_check_insert(s("p", 7, 5), other)
+    listed.solution_check_insert(s("p", 7, 4), other)
+    listed.insert_pairs(other, 7, list(keys))
+    assert dump(ts) == dump(listed)
+
+
+def test_insert_pairs_stores_a_repeated_token_of_a_list_once():
+    # a fact batch over duplicate facts: e(1,2). e(1,3). e(1,2).
+    ts = TableSpace()
+    parent = ts.subgoal_check_insert(s("p", 7, Var()))
+    children = ts.insert_pairs(parent, 7, [2, 3, 2, 2])
+    assert _leaves(parent) == [(2, 0), (3, 1)]
+    assert list(children) == [2, 3]
+
+
 def insert_ints(ts, f, vals):
     return [ts.solution_check_insert(s("p", v), f) for v in vals]
 
